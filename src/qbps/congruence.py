@@ -225,7 +225,8 @@ def run_all(order: int | None = None, support_order: int | None = None,
     and the support lemma at DEFAULT_SUPPORT_ORDER; with an explicit order,
     everything runs there unless support_order overrides the lemma's depth.
     perturbations maps a congruence check's name to a (index, delta) injection,
-    for failure-reporting tests.
+    for failure-reporting tests.  Raises RuntimeError if a check reports an
+    order other than the depth it was asked for.
     """
     if order is None:
         order = DEFAULT_COMPOSITE_ORDER
@@ -247,9 +248,14 @@ def run_all(order: int | None = None, support_order: int | None = None,
     for name in CHECK_NAMES:
         if name not in selected:
             continue
+        depth = support_order if name == "support_lemma" else order
         if name in _CONGRUENCE_RUNNERS:
-            depth = support_order if name == "support_lemma" else order
-            results.append(_CONGRUENCE_RUNNERS[name](depth, perturbation=perturbations.get(name)))
+            result = _CONGRUENCE_RUNNERS[name](depth, perturbation=perturbations.get(name))
         else:
-            results.append(_EXACT_RUNNERS[name](order))
+            result = _EXACT_RUNNERS[name](depth)
+        # Mixed-order arithmetic truncates silently, so a short sweep would
+        # still pass; refuse any result that did not reach the requested depth.
+        if result.order != depth:
+            raise RuntimeError(f"check {name} swept order {result.order}, not the requested {depth}")
+        results.append(result)
     return results

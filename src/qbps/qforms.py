@@ -82,9 +82,16 @@ class QFormCatalog:
         return self._divisor
 
     def power(self, alpha: int) -> TruncatedSeries:
-        """P^alpha at the catalog order, cached per exponent."""
+        """P^alpha at the catalog order, cached per exponent.
+
+        Every negative power is a power of the one cached P^-1, so P is
+        inverted at most once per catalog.
+        """
         if alpha not in self._powers:
-            self._powers[alpha] = self.partition ** alpha
+            if alpha < -1:
+                self._powers[alpha] = self.power(-1) ** -alpha
+            else:
+                self._powers[alpha] = self.partition ** alpha
         return self._powers[alpha]
 
 

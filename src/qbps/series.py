@@ -5,6 +5,8 @@ unbounded integers) or, for congruence sweeps, in Z/m.  Floating point is
 deliberately rejected: everything downstream asserts exact integrality and
 congruence identities, which rounding would silently destroy.
 
+Both coefficient domains share one truncated-ring core; each domain supplies
+only its coefficient coercion, the scalars it accepts and its product kernel.
 Arithmetic between series of different truncation orders truncates to the
 smaller order, and equality compares coefficients up to the smaller order.
 """
@@ -27,7 +29,129 @@ def _normalize(value) -> Coefficient:
     raise TypeError(f"exact coefficient required (int or Fraction), got {type(value).__name__}")
 
 
-class TruncatedSeries:
+class _Series:
+    """The truncated ring, written once for every coefficient domain.
+
+    A subclass sets ``_scalars`` and provides ``_coerce`` (one coefficient into
+    the domain) and ``_product`` (the coefficients of a product through q^n).
+    A subclass with per-instance state overrides ``_new`` to pass it along.
+    """
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs, order: int | None = None):
+        values = tuple(map(self._coerce, coeffs))
+        if not values:
+            raise ValueError("a truncated series needs at least its constant coefficient")
+        if order is not None and len(values) != order + 1:
+            raise ValueError(f"got {len(values)} coefficients for truncation order {order} "
+                             f"(need exactly {order + 1})")
+        self._coeffs = values
+
+    def _new(self, coeffs):
+        """A series over the same coefficient domain."""
+        return type(self)(coeffs)
+
+    def _common_order(self, other) -> int:
+        return min(self.order, other.order)
+
+    @property
+    def order(self) -> int:
+        return len(self._coeffs) - 1
+
+    @property
+    def coefficients(self) -> tuple:
+        return self._coeffs
+
+    def coefficient(self, k: int):
+        """The coefficient of q^k; raises IndexError beyond the truncation order."""
+        if not 0 <= k <= self.order:
+            raise IndexError(f"coefficient index {k} outside stored range 0..{self.order}")
+        return self._coeffs[k]
+
+    __getitem__ = coefficient
+
+    def truncated(self, order: int):
+        """The same series cut down to a smaller truncation order."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate an order-{self.order} series to order {order}")
+        return self._new(self._coeffs[:order + 1])
+
+    def with_coefficient(self, k: int, value):
+        """A copy with the coefficient of q^k replaced (for perturbation tests)."""
+        if not 0 <= k <= self.order:
+            raise IndexError(f"coefficient index {k} outside stored range 0..{self.order}")
+        coeffs = list(self._coeffs)
+        coeffs[k] = value
+        return self._new(coeffs)
+
+    # -- ring operations -------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, self._scalars):
+            coeffs = list(self._coeffs)
+            coeffs[0] = coeffs[0] + other
+            return self._new(coeffs)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        n = self._common_order(other)
+        return self._new([self._coeffs[k] + other._coeffs[k] for k in range(n + 1)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new([-c for c in self._coeffs])
+
+    def __sub__(self, other):
+        if isinstance(other, self._scalars) or isinstance(other, type(self)):
+            return self + (-other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, self._scalars):
+            return self._new([c * other for c in self._coeffs])
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        n = self._common_order(other)
+        return self._new(self._product(self._coeffs, other._coeffs, n))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
+            raise TypeError("series exponent must be a non-negative integer")
+        if exponent == 0:
+            return self._new([1] + [0] * self.order)
+        result = None
+        base = self
+        e = exponent
+        while True:
+            if e & 1:
+                result = base if result is None else result * base
+            e >>= 1
+            if not e:
+                return result
+            base = base * base
+
+    def q_derivative(self):
+        """Apply q*d/dq: the coefficient of q^k is scaled by k.  Same order."""
+        return self._new([k * c for k, c in enumerate(self._coeffs)])
+
+    # -- comparison --------------------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        n = min(self.order, other.order)
+        return self._coeffs[:n + 1] == other._coeffs[:n + 1]
+
+    __hash__ = None
+
+
+class TruncatedSeries(_Series):
     """A power series known exactly through the coefficient of q^order.
 
     Instances are immutable and safe to share.  Supports +, -, * (by a series
@@ -35,16 +159,9 @@ class TruncatedSeries:
     coefficient-scaling operator q*d/dq, and reduction to Z/m.
     """
 
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs, order: int | None = None):
-        values = tuple(_normalize(c) for c in coeffs)
-        if not values:
-            raise ValueError("a truncated series needs at least its constant coefficient")
-        if order is not None and len(values) != order + 1:
-            raise ValueError(f"got {len(values)} coefficients for truncation order {order} "
-                             f"(need exactly {order + 1})")
-        self._coeffs = values
+    __slots__ = ()
+    _scalars = (int, Fraction)
+    _coerce = staticmethod(_normalize)
 
     @classmethod
     def zero(cls, order: int) -> TruncatedSeries:
@@ -54,77 +171,15 @@ class TruncatedSeries:
     def one(cls, order: int) -> TruncatedSeries:
         return cls([1] + [0] * order)
 
-    @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coefficients(self) -> tuple[Coefficient, ...]:
-        return self._coeffs
-
-    def coefficient(self, k: int) -> Coefficient:
-        """The coefficient of q^k; raises IndexError beyond the truncation order."""
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient index {k} outside stored range 0..{self.order}")
-        return self._coeffs[k]
-
-    __getitem__ = coefficient
-
-    def truncated(self, order: int) -> TruncatedSeries:
-        """The same series cut down to a smaller truncation order."""
-        if not 0 <= order <= self.order:
-            raise ValueError(f"cannot truncate an order-{self.order} series to order {order}")
-        return TruncatedSeries(self._coeffs[:order + 1])
-
-    def with_coefficient(self, k: int, value) -> TruncatedSeries:
-        """A copy with the coefficient of q^k replaced (for perturbation tests)."""
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient index {k} outside stored range 0..{self.order}")
-        coeffs = list(self._coeffs)
-        coeffs[k] = value
-        return TruncatedSeries(coeffs)
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other) -> TruncatedSeries:
-        if isinstance(other, (int, Fraction)):
-            coeffs = list(self._coeffs)
-            coeffs[0] = coeffs[0] + other
-            return TruncatedSeries(coeffs)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries([self._coeffs[k] + other._coeffs[k] for k in range(n + 1)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries([-c for c in self._coeffs])
-
-    def __sub__(self, other) -> TruncatedSeries:
-        if isinstance(other, (int, Fraction, TruncatedSeries)):
-            return self + (-other if isinstance(other, TruncatedSeries) else -other)
-        return NotImplemented
-
-    def __rsub__(self, other) -> TruncatedSeries:
-        return (-self) + other
-
-    def __mul__(self, other) -> TruncatedSeries:
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([c * other for c in self._coeffs])
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        a, b = self._coeffs, other._coeffs
+    @staticmethod
+    def _product(a, b, n: int) -> list[Coefficient]:
         out = [0] * (n + 1)
         for i in range(n + 1):
             ai = a[i]
             if ai:
                 for k in range(i, n + 1):
                     out[k] += ai * b[k - i]
-        return TruncatedSeries(out)
-
-    __rmul__ = __mul__
+        return out
 
     def inverse(self) -> TruncatedSeries:
         """Multiplicative inverse up to the truncation order.
@@ -146,26 +201,9 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     def __pow__(self, exponent: int) -> TruncatedSeries:
-        if not isinstance(exponent, int):
-            raise TypeError("series exponent must be an integer")
-        if exponent < 0:
+        if isinstance(exponent, int) and exponent < 0:
             return self.inverse() ** (-exponent)
-        if exponent == 0:
-            return TruncatedSeries.one(self.order)
-        result = None
-        base = self
-        e = exponent
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
-
-    def q_derivative(self) -> TruncatedSeries:
-        """Apply q*d/dq: the coefficient of q^k is scaled by k.  Same order."""
-        return TruncatedSeries([k * c for k, c in enumerate(self._coeffs)])
+        return super().__pow__(exponent)
 
     def reduce_mod(self, modulus: int) -> ResidueSeries:
         """Reduce each coefficient into Z/m via the modular inverse of its denominator.
@@ -188,17 +226,10 @@ class TruncatedSeries:
                 residues.append(c % modulus)
         return ResidueSeries(residues, modulus)
 
-    # -- comparison and display -------------------------------------------
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._coeffs[0] == other and not any(self._coeffs[1:])
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return self._coeffs[:n + 1] == other._coeffs[:n + 1]
-
-    __hash__ = None
+        return super().__eq__(other)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self._coeffs[:6])
@@ -226,114 +257,45 @@ def _packed_convolution(a, b, modulus: int) -> list[int]:
             for k in range(length)]
 
 
-class ResidueSeries:
-    """A truncated series with coefficients in Z/m, stored as integers in [0, m)."""
+class ResidueSeries(_Series):
+    """A truncated series with coefficients in Z/m, stored as integers in [0, m).
 
-    __slots__ = ("_coeffs", "_modulus")
+    Coefficients must be ints: a float or Fraction raises TypeError rather
+    than being rounded into the ring.
+    """
+
+    __slots__ = ("_modulus",)
+    _scalars = int
 
     def __init__(self, coeffs, modulus: int, order: int | None = None):
         if not isinstance(modulus, int) or modulus < 2:
             raise ValueError("modulus must be an integer >= 2")
-        values = tuple(int(c) % modulus for c in coeffs)
-        if not values:
-            raise ValueError("a residue series needs at least its constant coefficient")
-        if order is not None and len(values) != order + 1:
-            raise ValueError(f"got {len(values)} coefficients for truncation order {order} "
-                             f"(need exactly {order + 1})")
-        self._coeffs = values
         self._modulus = modulus
+        super().__init__(coeffs, order)
+
+    def _coerce(self, value) -> int:
+        if not isinstance(value, int):
+            raise TypeError(f"residue coefficient must be an int, got {type(value).__name__}")
+        return value % self._modulus
+
+    def _new(self, coeffs) -> ResidueSeries:
+        return ResidueSeries(coeffs, self._modulus)
+
+    def _common_order(self, other: ResidueSeries) -> int:
+        if self._modulus != other._modulus:
+            raise ValueError(f"modulus mismatch: {self._modulus} vs {other._modulus}")
+        return super()._common_order(other)
+
+    def _product(self, a, b, n: int) -> list[int]:
+        return _packed_convolution(a[:n + 1], b[:n + 1], self._modulus)
 
     @classmethod
     def zero(cls, order: int, modulus: int) -> ResidueSeries:
         return cls([0] * (order + 1), modulus)
 
     @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
     def modulus(self) -> int:
         return self._modulus
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        return self._coeffs
-
-    def coefficient(self, k: int) -> int:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient index {k} outside stored range 0..{self.order}")
-        return self._coeffs[k]
-
-    __getitem__ = coefficient
-
-    def truncated(self, order: int) -> ResidueSeries:
-        if not 0 <= order <= self.order:
-            raise ValueError(f"cannot truncate an order-{self.order} series to order {order}")
-        return ResidueSeries(self._coeffs[:order + 1], self._modulus)
-
-    def with_coefficient(self, k: int, value: int) -> ResidueSeries:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient index {k} outside stored range 0..{self.order}")
-        coeffs = list(self._coeffs)
-        coeffs[k] = value
-        return ResidueSeries(coeffs, self._modulus)
-
-    def _check_compatible(self, other: ResidueSeries):
-        if self._modulus != other._modulus:
-            raise ValueError(f"modulus mismatch: {self._modulus} vs {other._modulus}")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            coeffs = list(self._coeffs)
-            coeffs[0] += other
-            return ResidueSeries(coeffs, self._modulus)
-        if not isinstance(other, ResidueSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        n = min(self.order, other.order)
-        return ResidueSeries([self._coeffs[k] + other._coeffs[k] for k in range(n + 1)],
-                             self._modulus)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ResidueSeries([-c for c in self._coeffs], self._modulus)
-
-    def __sub__(self, other):
-        if isinstance(other, ResidueSeries):
-            return self + (-other)
-        if isinstance(other, int):
-            return self + (-other)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ResidueSeries([c * other for c in self._coeffs], self._modulus)
-        if not isinstance(other, ResidueSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        n = min(self.order, other.order)
-        out = _packed_convolution(self._coeffs[:n + 1], other._coeffs[:n + 1], self._modulus)
-        return ResidueSeries(out, self._modulus)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> ResidueSeries:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise TypeError("residue series exponent must be a non-negative integer")
-        result = ResidueSeries([1] + [0] * self.order, self._modulus)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def q_derivative(self) -> ResidueSeries:
-        return ResidueSeries([k * c for k, c in enumerate(self._coeffs)], self._modulus)
 
     def first_nonzero(self) -> tuple[int, int] | None:
         """(index, residue) of the first nonzero coefficient, or None if zero."""
@@ -347,14 +309,9 @@ class ResidueSeries:
         return self.first_nonzero() is None
 
     def __eq__(self, other):
-        if not isinstance(other, ResidueSeries):
-            return NotImplemented
-        if self._modulus != other._modulus:
+        if isinstance(other, ResidueSeries) and self._modulus != other._modulus:
             return False
-        n = min(self.order, other.order)
-        return self._coeffs[:n + 1] == other._coeffs[:n + 1]
-
-    __hash__ = None
+        return super().__eq__(other)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self._coeffs[:8])

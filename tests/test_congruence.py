@@ -219,6 +219,11 @@ class TestRunAll:
         by_name = {r.name: r for r in run_all(order=40)}
         assert by_name["support_lemma"].order == 40
 
+    def test_short_sweep_rejected(self, monkeypatch):
+        monkeypatch.setattr("qbps.congruence.g_series", lambda order: g_series(order - 1))
+        with pytest.raises(RuntimeError, match="mod10 swept order 49"):
+            run_all(order=50, names=["mod10"])
+
     def test_default_depth_constants(self):
         assert DEFAULT_COMPOSITE_ORDER == 1000
         assert DEFAULT_SUPPORT_ORDER == 10000

@@ -244,6 +244,8 @@ def test_pow_additivity(f, a, b):
 def test_reduction_is_ring_morphism(f, g, m):
     assert (f * g).reduce_mod(m) == f.reduce_mod(m) * g.reduce_mod(m)
     assert (f + g).reduce_mod(m) == f.reduce_mod(m) + g.reduce_mod(m)
+    assert (f - g).reduce_mod(m) == f.reduce_mod(m) - g.reduce_mod(m)
+    assert qd(f).reduce_mod(m) == qd(f.reduce_mod(m))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +255,14 @@ class TestResidueSeries:
     def test_normalizes_into_range(self):
         r = ResidueSeries([-1, 7, 12], 5)
         assert r.coefficients == (4, 2, 2)
+
+    def test_inexact_coefficients_rejected(self):
+        with pytest.raises(TypeError):
+            ResidueSeries([2.7, Fraction(7, 2)], 5)
+        with pytest.raises(TypeError):
+            ResidueSeries([1, Fraction(7, 2)], 5)
+        with pytest.raises(TypeError):
+            ResidueSeries([1, 2], 5).with_coefficient(0, 0.5)
 
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
@@ -279,6 +289,7 @@ class TestResidueSeries:
         assert (3 * r).coefficients == (3, 1, 4)
         assert (r - r).coefficients == (0, 0, 0)
         assert (r + 4).coefficients == (0, 2, 3)
+        assert (3 - r).coefficients == (2, 3, 2)
 
     def test_pow(self):
         r = ResidueSeries([1, 1, 0, 0], 5)
