@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .series import TruncatedSeries, qd, _normalize
 from .qforms import g_series, p_alpha
-from .gw import n0_series, n1_series, n1_fiber
+from .gw import NINE_POINT_BLOWUP, n0_series, n1_series, n1_fiber
 
 __all__ = [
     "ClassData", "DecompositionTerm", "BPSTable",
@@ -94,16 +94,17 @@ def b_general(data: ClassData, chi: int, terms):
 def decompositions_for(n: int, n0: TruncatedSeries) -> list[DecompositionTerm]:
     """All splittings of beta_n with a genus-1 part: beta' = (n-k)F, beta'' = beta_k.
 
-    Uses intersection numbers beta'.beta'' = n-k and beta''.beta'' = 2k-1 for
-    k = 0..n-1.  The n0 series must extend at least to order n-1.
+    c(beta') = 0, beta'.beta'' = n-k and beta''.beta'' = 2k-1 (k = 0..n-1) come from
+    NINE_POINT_BLOWUP.  The n0 series must extend at least to order n-1.
     """
     if n < 0:
         raise ValueError("class index must be non-negative")
+    surface = NINE_POINT_BLOWUP
     return [
         DecompositionTerm(
-            c_prime=0,
-            dot_prime_dprime=n - k,
-            dot_dprime_dprime=2 * k - 1,
+            c_prime=surface.degree(surface.fiber(n - k)),
+            dot_prime_dprime=surface.intersect(surface.fiber(n - k), surface.beta(k)),
+            dot_dprime_dprime=surface.intersect(surface.beta(k), surface.beta(k)),
             n1_prime=n1_fiber(n - k),
             n0_dprime=n0.coefficient(k),
         )

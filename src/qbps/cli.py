@@ -87,19 +87,20 @@ def table(kind, terms, fmt):
         counts = gw_table(terms)
         header = ["n", "N0", "N1", "N1_fiber"]
         # N1_fiber is undefined at n = 0 (no zero-fold fiber); the cell is empty.
-        rows = [
+        rows = (
             [str(n), str(counts.n0.coefficient(n)), str(counts.n1.coefficient(n)),
              "" if n == 0 else str(n1_fiber(n))]
             for n in range(terms + 1)
-        ]
+        )
     else:
         invariants = bps_table(terms)
         header = ["n", "a", "b"]
-        rows = [
+        rows = (
             [str(n), str(invariants.a_series.coefficient(n)),
              str(invariants.b_series.coefficient(n))]
             for n in range(terms + 1)
-        ]
+        )
+    # rows is a generator, so csv output streams without holding the whole table.
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)

@@ -72,16 +72,21 @@ def _perturbed(series, perturbation: Perturbation | None):
     return series.with_coefficient(index, series.coefficient(index) + delta)
 
 
-def _zero_scan(name: str, series: ResidueSeries) -> CongruenceCheck:
-    failure = series.first_nonzero()
-    return CongruenceCheck(name, series.modulus, series.order, failure is None, failure)
+def _result(name: str, modulus: int | None, scanned, order: int, failure) -> CongruenceCheck:
+    # Mixed-order arithmetic truncates silently, so a short series would still
+    # pass; refuse any scan that does not reach the requested depth.
+    if scanned.order != order:
+        raise RuntimeError(f"check {name} swept order {scanned.order}, not the requested {order}")
+    return CongruenceCheck(name, modulus, order, failure is None, failure)
 
 
-def _exact_zero_scan(name: str, difference: TruncatedSeries) -> CongruenceCheck:
-    for k, c in enumerate(difference.coefficients):
-        if c:
-            return CongruenceCheck(name, None, difference.order, False, (k, c))
-    return CongruenceCheck(name, None, difference.order, True, None)
+def _zero_scan(name: str, series: ResidueSeries, order: int) -> CongruenceCheck:
+    return _result(name, series.modulus, series, order, series.first_nonzero())
+
+
+def _exact_zero_scan(name: str, difference: TruncatedSeries, order: int) -> CongruenceCheck:
+    failure = next(((k, c) for k, c in enumerate(difference.coefficients) if c), None)
+    return _result(name, None, difference, order, failure)
 
 
 def _brace_mod(order: int, modulus: int) -> ResidueSeries:
@@ -91,7 +96,7 @@ def _brace_mod(order: int, modulus: int) -> ResidueSeries:
 
 def check_mod10(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
     """7G^2 - G + DG vanishes identically mod 10."""
-    return _zero_scan("mod10", _perturbed(_brace_mod(order, 10), perturbation))
+    return _zero_scan("mod10", _perturbed(_brace_mod(order, 10), perturbation), order)
 
 
 def check_mod5_reduction(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
@@ -100,7 +105,7 @@ def check_mod5_reduction(order: int, perturbation: Perturbation | None = None) -
     p2 = partition_series(order).reduce_mod(5) ** 2
     pm2 = p_alpha(-2, order).reduce_mod(5)
     rhs = 3 * (pm2 * (qd(qd(p2)) - qd(p2)))
-    return _zero_scan("mod5_reduction", _perturbed(lhs - rhs, perturbation))
+    return _zero_scan("mod5_reduction", _perturbed(lhs - rhs, perturbation), order)
 
 
 def check_support_lemma(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
@@ -122,7 +127,7 @@ def check_support_consequence(order: int, perturbation: Perturbation | None = No
     """(D^2 - D) P_2 vanishes mod 5: on the support, the index satisfies k^2 = k."""
     p2 = partition_series(order).reduce_mod(5) ** 2
     value = qd(qd(p2)) - qd(p2)
-    return _zero_scan("support_consequence", _perturbed(value, perturbation))
+    return _zero_scan("support_consequence", _perturbed(value, perturbation), order)
 
 
 def check_mod2_reduction(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
@@ -131,7 +136,7 @@ def check_mod2_reduction(order: int, perturbation: Perturbation | None = None) -
     p = partition_series(order).reduce_mod(2)
     pm1 = p_alpha(-1, order).reduce_mod(2)
     rhs = pm1 * (qd(qd(p)) + qd(p))
-    return _zero_scan("mod2_reduction", _perturbed(lhs - rhs, perturbation))
+    return _zero_scan("mod2_reduction", _perturbed(lhs - rhs, perturbation), order)
 
 
 def check_parity_factor(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
@@ -155,44 +160,42 @@ def check_parity_factor(order: int, perturbation: Perturbation | None = None) ->
 
 
 def _check_a_routes(order: int) -> CongruenceCheck:
-    return _exact_zero_scan("a_routes", a_direct_series(order) - a_closed_series(order))
+    return _exact_zero_scan("a_routes", a_direct_series(order) - a_closed_series(order), order)
 
 
 def _check_b_routes(order: int) -> CongruenceCheck:
-    return _exact_zero_scan("b_routes", b_direct_series(order) - b_closed_series(order))
+    return _exact_zero_scan("b_routes", b_direct_series(order) - b_closed_series(order), order)
 
 
 def _check_b_intermediate(order: int) -> CongruenceCheck:
     return _exact_zero_scan("b_intermediate",
-                            b_intermediate_series(order) - b_closed_series(order))
+                            b_intermediate_series(order) - b_closed_series(order), order)
 
 
-def _integrality(name: str, series: TruncatedSeries) -> CongruenceCheck:
+def _integrality(name: str, series: TruncatedSeries, order: int) -> CongruenceCheck:
     bad = integrality_audit(series)
-    if bad:
-        k = bad[0]
-        return CongruenceCheck(name, None, series.order, False, (k, series.coefficient(k)))
-    return CongruenceCheck(name, None, series.order, True, None)
+    failure = (bad[0], series.coefficient(bad[0])) if bad else None
+    return _result(name, None, series, order, failure)
 
 
 def _check_a_integrality(order: int) -> CongruenceCheck:
-    return _integrality("a_integrality", a_closed_series(order))
+    return _integrality("a_integrality", a_closed_series(order), order)
 
 
 def _check_b_integrality(order: int) -> CongruenceCheck:
-    return _integrality("b_integrality", b_closed_series(order))
+    return _integrality("b_integrality", b_closed_series(order), order)
 
 
 def _check_g_identity(order: int) -> CongruenceCheck:
     p = partition_series(order)
     value = g_series(order) - p_alpha(-1, order) * qd(p)
-    return _exact_zero_scan("g_identity", value)
+    return _exact_zero_scan("g_identity", value, order)
 
 
 def _check_p12_identity(order: int) -> CongruenceCheck:
     p12 = p_alpha(12, order)
     value = qd(p12) - 12 * (p12 * g_series(order))
-    return _exact_zero_scan("p12_identity", value)
+    return _exact_zero_scan("p12_identity", value, order)
 
 
 _CONGRUENCE_RUNNERS = {
@@ -225,8 +228,8 @@ def run_all(order: int | None = None, support_order: int | None = None,
     and the support lemma at DEFAULT_SUPPORT_ORDER; with an explicit order,
     everything runs there unless support_order overrides the lemma's depth.
     perturbations maps a congruence check's name to a (index, delta) injection,
-    for failure-reporting tests.  Raises RuntimeError if a check reports an
-    order other than the depth it was asked for.
+    for failure-reporting tests.  A check whose scanned series falls short of
+    its requested depth raises instead of passing.
     """
     if order is None:
         order = DEFAULT_COMPOSITE_ORDER
@@ -250,12 +253,7 @@ def run_all(order: int | None = None, support_order: int | None = None,
             continue
         depth = support_order if name == "support_lemma" else order
         if name in _CONGRUENCE_RUNNERS:
-            result = _CONGRUENCE_RUNNERS[name](depth, perturbation=perturbations.get(name))
+            results.append(_CONGRUENCE_RUNNERS[name](depth, perturbation=perturbations.get(name)))
         else:
-            result = _EXACT_RUNNERS[name](depth)
-        # Mixed-order arithmetic truncates silently, so a short sweep would
-        # still pass; refuse any result that did not reach the requested depth.
-        if result.order != depth:
-            raise RuntimeError(f"check {name} swept order {result.order}, not the requested {depth}")
-        results.append(result)
+            results.append(_EXACT_RUNNERS[name](depth))
     return results

@@ -5,14 +5,16 @@ unbounded integers) or, for congruence sweeps, in Z/m.  Floating point is
 deliberately rejected: everything downstream asserts exact integrality and
 congruence identities, which rounding would silently destroy.
 
-Both coefficient domains share one truncated-ring core; each domain supplies
-only its coefficient coercion, the scalars it accepts and its product kernel.
+Both coefficient domains share one truncated-ring core and one product kernel,
+a Kronecker-substitution bigint multiply: exact series enter it as integers
+over a common denominator, and exact inversion is Newton iteration on top of it.
 Arithmetic between series of different truncation orders truncates to the
 smaller order, and equality compares coefficients up to the smaller order.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = ["TruncatedSeries", "ResidueSeries", "qd"]
@@ -29,12 +31,38 @@ def _normalize(value) -> Coefficient:
     raise TypeError(f"exact coefficient required (int or Fraction), got {type(value).__name__}")
 
 
+def _over_common_denominator(coeffs):
+    """Integers over one denominator d, the lcm of the denominators: coeffs[k] = ints[k] / d."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return coeffs if d == 1 else [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _convolution(a, b) -> list[int]:
+    """Cauchy product through q^(len-1) of two equal-length sequences of signed ints.
+
+    Kronecker substitution: each sequence is packed into fixed-width slots of
+    one bigint, and the low len slots of a single bigint product are the result.
+    A slot holds len * max|a| * max|b|, which bounds each operand and every low
+    product coefficient, plus a sign bit; a value sits offset by half its range.
+    """
+    length = len(a)
+    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + length.bit_length()
+    width = bits // 8 + 1
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * length, "little")
+    pa, pb = (int.from_bytes(b"".join((c + half).to_bytes(width, "little") for c in v), "little")
+              - bias for v in (a, b))
+    raw = (pa * pb + bias).to_bytes(2 * length * width, "little", signed=True)
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, length * width, width)]
+
+
 class _Series:
     """The truncated ring, written once for every coefficient domain.
 
     A subclass sets ``_scalars`` and provides ``_coerce`` (one coefficient into
-    the domain) and ``_product`` (the coefficients of a product through q^n).
-    A subclass with per-instance state overrides ``_new`` to pass it along.
+    the domain) and ``_product`` (the product of two equal-length coefficient
+    sequences); one with per-instance state overrides ``_new`` to pass it along.
     """
 
     __slots__ = ("_coeffs",)
@@ -116,7 +144,7 @@ class _Series:
         if not isinstance(other, type(self)):
             return NotImplemented
         n = self._common_order(other)
-        return self._new(self._product(self._coeffs, other._coeffs, n))
+        return self._new(self._product(self._coeffs[:n + 1], other._coeffs[:n + 1]))
 
     __rmul__ = __mul__
 
@@ -172,33 +200,22 @@ class TruncatedSeries(_Series):
         return cls([1] + [0] * order)
 
     @staticmethod
-    def _product(a, b, n: int) -> list[Coefficient]:
-        out = [0] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if ai:
-                for k in range(i, n + 1):
-                    out[k] += ai * b[k - i]
-        return out
+    def _product(a, b) -> list[Coefficient]:
+        (a, da), (b, db) = _over_common_denominator(a), _over_common_denominator(b)
+        out, d = _convolution(a, b), da * db
+        return out if d == 1 else [Fraction(c, d) for c in out]
 
     def inverse(self) -> TruncatedSeries:
-        """Multiplicative inverse up to the truncation order.
-
-        Standard recurrence g_0 = 1/f_0, g_k = -(1/f_0) * sum_{i=1..k} f_i g_{k-i}.
-        """
-        f = self._coeffs
-        if f[0] == 0:
+        """Multiplicative inverse up to the truncation order, by Newton iteration."""
+        if self._coeffs[0] == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        lead = _normalize(Fraction(1) / Fraction(f[0]))
-        n = self.order
-        out = [lead] + [0] * n
-        for k in range(1, n + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                if f[i]:
-                    acc += f[i] * out[k - i]
-            out[k] = -lead * acc
-        return TruncatedSeries(out)
+        g = TruncatedSeries([Fraction(1) / self._coeffs[0]])
+        while g.order < self.order:
+            # g inverts self through q^(g.order), so g (2 - self g) inverts it through q^k.
+            k = min(2 * g.order + 1, self.order)
+            g = TruncatedSeries(g.coefficients + (0,) * (k - g.order))
+            g = g * (2 - self.truncated(k) * g)
+        return g
 
     def __pow__(self, exponent: int) -> TruncatedSeries:
         if isinstance(exponent, int) and exponent < 0:
@@ -242,21 +259,6 @@ def qd(series):
     return series.q_derivative()
 
 
-def _packed_convolution(a, b, modulus: int) -> list[int]:
-    # Kronecker substitution: with each residue packed into its own fixed-width
-    # slot of one big integer, a single CPython bigint multiply performs the
-    # whole Cauchy product.  No slot can overflow because every convolution
-    # coefficient is < (m-1)^2 * len(a).
-    length = len(a)
-    bound = (modulus - 1) * (modulus - 1) * length
-    width = (bound.bit_length() + 7) // 8
-    packed_a = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
-    packed_b = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
-    raw = (packed_a * packed_b).to_bytes(2 * length * width, "little")
-    return [int.from_bytes(raw[k * width:(k + 1) * width], "little") % modulus
-            for k in range(length)]
-
-
 class ResidueSeries(_Series):
     """A truncated series with coefficients in Z/m, stored as integers in [0, m).
 
@@ -266,6 +268,7 @@ class ResidueSeries(_Series):
 
     __slots__ = ("_modulus",)
     _scalars = int
+    _product = staticmethod(_convolution)    # the constructor reduces mod m
 
     def __init__(self, coeffs, modulus: int, order: int | None = None):
         if not isinstance(modulus, int) or modulus < 2:
@@ -285,9 +288,6 @@ class ResidueSeries(_Series):
         if self._modulus != other._modulus:
             raise ValueError(f"modulus mismatch: {self._modulus} vs {other._modulus}")
         return super()._common_order(other)
-
-    def _product(self, a, b, n: int) -> list[int]:
-        return _packed_convolution(a[:n + 1], b[:n + 1], self._modulus)
 
     @classmethod
     def zero(cls, order: int, modulus: int) -> ResidueSeries:

@@ -43,11 +43,25 @@ def convolve(a, b):
     return out
 
 
+def pentagonal(n: int) -> list[int]:
+    """Coefficients through q^n of prod (1 - q^m), by Euler's pentagonal number
+    theorem: (-1)^j at the generalized pentagonal numbers j(3j -+ 1)/2, else 0."""
+    coeffs = [0] * (n + 1)
+    j = 0
+    while j * (3 * j - 1) // 2 <= n:
+        for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            if k <= n:
+                coeffs[k] = (-1) ** j
+        j += 1
+    return coeffs
+
+
 @pytest.fixture
 def oracle():
     class Oracle:
         partition_count = staticmethod(partition_count)
         divisor_sum = staticmethod(divisor_sum_naive)
         convolve = staticmethod(convolve)
+        pentagonal = staticmethod(pentagonal)
 
     return Oracle

@@ -219,10 +219,13 @@ class TestRunAll:
         by_name = {r.name: r for r in run_all(order=40)}
         assert by_name["support_lemma"].order == 40
 
-    def test_short_sweep_rejected(self, monkeypatch):
+    @pytest.mark.parametrize("sweep", [lambda: run_all(order=50, names=["mod10"]),
+                                       lambda: check_mod10(50)],
+                             ids=["run_all", "check_mod10"])
+    def test_short_sweep_rejected(self, monkeypatch, sweep):
         monkeypatch.setattr("qbps.congruence.g_series", lambda order: g_series(order - 1))
         with pytest.raises(RuntimeError, match="mod10 swept order 49"):
-            run_all(order=50, names=["mod10"])
+            sweep()
 
     def test_default_depth_constants(self):
         assert DEFAULT_COMPOSITE_ORDER == 1000

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import convolve
+from qbps.qforms import partition_series
 from qbps.series import TruncatedSeries, ResidueSeries, qd
 
 
@@ -85,10 +87,28 @@ class TestMul:
         assert (3 * S(1, -2)).coefficients == (3, -6)
 
     def test_matches_naive_convolution(self, oracle):
-        a = [3, -1, 4, 1, -5, 9, 2]
-        b = [2, 7, -1, 8, 2, -8, 1]
-        assert (TruncatedSeries(a) * TruncatedSeries(b)).coefficients == tuple(
-            oracle.convolve(a, b))
+        big = 2 ** 200
+        cases = [
+            ([3, -1, 4, 1, -5, 9, 2], [2, 7, -1, 8, 2, -8, 1]),
+            # rational operands, one of them integral
+            ([Fraction(1, 3), -2, Fraction(5, 7), 0, Fraction(-9, 4)],
+             [Fraction(2, 5), 1, Fraction(-1, 6), 3, Fraction(7, 2)]),
+            ([Fraction(1, 3), Fraction(-5, 6), 4], [1, -2, 3]),
+            # signed ints near +-2^200
+            ([big - 1, -big, big + 1, -(big - 1)], [-big, big - 1, 1, -(big + 1)]),
+            ([-(big - 1)] * 9, [big - 1] * 9),
+            # 255 * 15 * 15 needs 16 bits: the slot needs a third byte for the sign
+            ([-15] * 255, [15] * 255),
+            ([15] * 255, [15] * 255),
+            # negatives whose bytes borrow across slot boundaries
+            ([-255, 256, -256, 255, -1, 128, -128, -129], [-1, 255, -256, 1, -128, 127, 0, -255]),
+            ([0, 0, 0, 0], [5, -6, 7, Fraction(-8, 3)]),
+            ([Fraction(-3, 4)], [Fraction(8, 9)]),
+            ([0], [-7]),
+        ]
+        for a, b in cases:
+            assert (TruncatedSeries(a) * TruncatedSeries(b)).coefficients == tuple(
+                oracle.convolve(a, b))
 
 
 class TestInverse:
@@ -106,6 +126,9 @@ class TestInverse:
     def test_round_trip_with_fraction_lead(self):
         f = S(Fraction(2, 3), 5, -1, Fraction(7, 11))
         assert f * f.inverse() == 1
+
+    def test_partition_inverse_is_pentagonal(self, oracle):
+        assert partition_series(600).inverse().coefficients == tuple(oracle.pentagonal(600))
 
 
 class TestPow:
@@ -209,6 +232,9 @@ UNITS = st.tuples(
     st.lists(COEFFS, max_size=14),
 ).map(lambda pair: TruncatedSeries([pair[0], *pair[1]]))
 
+WIDE_SERIES = st.lists(st.one_of(COEFFS, st.integers(min_value=-2 ** 80, max_value=2 ** 80)),
+                       min_size=1, max_size=31).map(TruncatedSeries)
+
 INT_SERIES = st.lists(st.integers(min_value=-50, max_value=50),
                       min_size=1, max_size=31).map(TruncatedSeries)
 
@@ -225,6 +251,12 @@ def test_ring_axioms(f, g, h):
 @given(f=SERIES, g=SERIES)
 def test_leibniz_rule(f, g):
     assert qd(f * g) == qd(f) * g + f * qd(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=WIDE_SERIES, g=WIDE_SERIES)
+def test_product_matches_naive_convolution(f, g):
+    assert (f * g).coefficients == tuple(convolve(f.coefficients, g.coefficients))
 
 
 @settings(max_examples=100, deadline=None)
@@ -273,11 +305,17 @@ class TestResidueSeries:
             ResidueSeries([1], 5) + ResidueSeries([1], 7)
 
     def test_mul_matches_naive_convolution(self, oracle):
-        a = [3, 1, 4, 1, 5, 9, 2, 6]
-        b = [2, 7, 1, 8, 2, 8, 1, 8]
-        want = [c % 10 for c in oracle.convolve(a, b)]
-        got = ResidueSeries(a, 10) * ResidueSeries(b, 10)
-        assert list(got.coefficients) == want
+        prime = 2 ** 127 - 1
+        cases = [
+            ([3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8], 10),
+            ([prime - 1] * 9, [prime - 2] * 9, prime),
+            ([0, 0, 0, 0], [1, 2, 3, 4], 7),
+            ([4], [3], 5),
+        ]
+        for a, b, m in cases:
+            want = [c % m for c in oracle.convolve(a, b)]
+            got = ResidueSeries(a, m) * ResidueSeries(b, m)
+            assert list(got.coefficients) == want
 
     def test_mul_truncates_to_min_order(self):
         a = ResidueSeries([1, 1, 1, 1], 7)
