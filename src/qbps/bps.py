@@ -1,16 +1,17 @@
 """BPS-style invariants a(beta) and b(beta), evaluated several independent ways.
 
-Three routes to the same numbers, kept deliberately separate so their agreement
+Two routes to the same numbers, kept deliberately separate so their agreement
 is a real check and not a tautology:
 
-  * the general formulas over explicit decomposition terms (a_general, b_general),
-  * the specialized per-class series evaluated literally, term by term
+  * the direct route: the general formulas (a_general, b_general) evaluated
+    literally, term by term, for each class beta_n, with c, g and chi read
+    from NINE_POINT_BLOWUP and the splitting sum from decompositions_for
     (a_direct_series, b_direct_series),
   * closed forms in the partition and divisor-sum series
     (a_closed_series = -P12*G and b_closed_series = (1/10)P12*(7G^2 - G + DG)),
 
-plus a fourth, intermediate rewrite of b that pins the index-shift step of the
-derivation connecting the direct formula to the closed form.
+plus a third, intermediate rewrite of b that pins the index-shift step of the
+derivation connecting the general formula to the closed form.
 
 The integrality of every coefficient is the conjectural content; it is audited,
 never assumed.
@@ -82,10 +83,12 @@ def b_general(data: ClassData, chi: int, terms):
     g, c = data.g, data.c
     head = Fraction(12 * g * g + g * c - 24 * g, 2880) * data.n0
     middle = Fraction(chi, 240) * data.n1
+    # The fiber factors go first: C(c-1, c') (beta'.beta'') N1(beta') is exact
+    # and uncancelled, and on the section classes it is an int, so the long
+    # products with N0 stay in integer arithmetic.
     tail = sum(
-        (_binomial(c - 1, t.c_prime)
-         * t.dot_prime_dprime * t.dot_dprime_dprime
-         * t.n1_prime * t.n0_dprime)
+        (_normalize(_binomial(c - 1, t.c_prime) * t.dot_prime_dprime * t.n1_prime)
+         * t.dot_dprime_dprime * t.n0_dprime)
         for t in terms
     )
     return _normalize(head + middle + Fraction(1, 240) * tail)
@@ -112,35 +115,31 @@ def decompositions_for(n: int, n0: TruncatedSeries) -> list[DecompositionTerm]:
     ]
 
 
+def _class_data(n: int, n0: TruncatedSeries, n1: TruncatedSeries) -> ClassData:
+    """The inputs of beta_n: c and g from NINE_POINT_BLOWUP, the counts from n0, n1."""
+    surface = NINE_POINT_BLOWUP
+    beta = surface.beta(n)
+    return ClassData(c=surface.degree(beta), g=surface.genus(beta),
+                     n0=n0.coefficient(n), n1=n1.coefficient(n))
+
+
 def a_direct_series(order: int) -> TruncatedSeries:
-    """Coefficient n is -(1/12) n N0(beta_n), straight from the count table."""
-    n0 = n0_series(order)
-    return TruncatedSeries(
-        [Fraction(-n, 12) * n0.coefficient(n) for n in range(order + 1)]
-    )
+    """Coefficient n is a_general of beta_n, straight from the count tables."""
+    n0, n1 = n0_series(order), n1_series(order)
+    return TruncatedSeries([a_general(_class_data(n, n0, n1)) for n in range(order + 1)])
 
 
 def b_direct_series(order: int) -> TruncatedSeries:
-    """Coefficient n of b, evaluated literally from the specialized formula.
+    """Coefficient n is b_general of beta_n, evaluated literally term by term.
 
-    (1/2880)(12n^2 - 23n) N0(beta_n) + (1/20) N1(beta_n)
-      + (1/240) sum_{k=0}^{n-1} (n-k)(2k-1) N1((n-k)F) N0(beta_k)
-
-    No algebraic simplification: the inner product (n-k) * sigma(n-k)/(n-k) is
-    left uncancelled so this path stays independent of the closed form.
+    c, g and chi come from NINE_POINT_BLOWUP and the splitting sum from
+    decompositions_for; nothing is simplified algebraically, so this path stays
+    independent of the closed form.
     """
-    n0 = n0_series(order)
-    n1 = n1_series(order)
-    coeffs = []
-    for n in range(order + 1):
-        value = (Fraction(12 * n * n - 23 * n, 2880) * n0.coefficient(n)
-                 + Fraction(1, 20) * n1.coefficient(n))
-        split = sum(
-            (n - k) * (2 * k - 1) * n1_fiber(n - k) * n0.coefficient(k)
-            for k in range(n)
-        )
-        coeffs.append(value + Fraction(1, 240) * split)
-    return TruncatedSeries(coeffs)
+    n0, n1 = n0_series(order), n1_series(order)
+    chi = NINE_POINT_BLOWUP.euler_characteristic
+    return TruncatedSeries([b_general(_class_data(n, n0, n1), chi, decompositions_for(n, n0))
+                            for n in range(order + 1)])
 
 
 def brace_series(order: int) -> TruncatedSeries:

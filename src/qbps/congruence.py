@@ -114,13 +114,9 @@ def check_support_lemma(order: int, perturbation: Perturbation | None = None) ->
     One-directional: residues at permitted indices are unconstrained.
     """
     p2 = _perturbed(partition_series(order).reduce_mod(5) ** 2, perturbation)
-    for k in range(order + 1):
-        if k % 5 in (0, 1):
-            continue
-        residue = p2.coefficient(k)
-        if residue:
-            return CongruenceCheck("support_lemma", 5, order, False, (k, residue))
-    return CongruenceCheck("support_lemma", 5, order, True, None)
+    failure = next(((k, r) for k, r in enumerate(p2.coefficients) if r and k % 5 not in (0, 1)),
+                   None)
+    return _result("support_lemma", 5, p2, order, failure)
 
 
 def check_support_consequence(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
@@ -149,14 +145,15 @@ def check_parity_factor(order: int, perturbation: Perturbation | None = None) ->
     """
     p = partition_series(order)
     value = _perturbed(qd(qd(p)) + qd(p), perturbation)
-    for k in range(order + 1):
-        actual = value.coefficient(k)
-        expected = k * (k + 1) * p.coefficient(k)
-        if actual != expected:
-            return CongruenceCheck("parity_factor", 2, order, False, (k, actual))
+    failure = None
+    for k, (actual, count) in enumerate(zip(value.coefficients, p.coefficients)):
+        if actual != k * (k + 1) * count:
+            failure = (k, actual)
+            break
         if actual % 2:
-            return CongruenceCheck("parity_factor", 2, order, False, (k, actual % 2))
-    return CongruenceCheck("parity_factor", 2, order, True, None)
+            failure = (k, actual % 2)
+            break
+    return _result("parity_factor", 2, value, order, failure)
 
 
 def _check_a_routes(order: int) -> CongruenceCheck:

@@ -11,7 +11,7 @@ from functools import reduce
 
 from qbps.series import TruncatedSeries, qd
 from qbps.qforms import g_series, p_alpha, partition_series
-from qbps.gw import n0_series, n1_series
+from qbps.gw import NINE_POINT_BLOWUP, n0_series, n1_series
 from qbps.bps import (
     ClassData, a_closed_series, a_direct_series,
     b_closed_series, b_direct_series, b_general,
@@ -109,12 +109,16 @@ def test_criterion_6_oracle_equivalence(oracle):
     order = 50
     n0 = n0_series(order)
     n1 = n1_series(order)
-    b_direct = b_direct_series(order)
+    b_closed = b_closed_series(order)
+    surface = NINE_POINT_BLOWUP
     for n in range(1, order + 1):
-        data = ClassData(c=1, g=n, n0=n0.coefficient(n), n1=n1.coefficient(n))
-        value = b_general(data, chi=12, terms=decompositions_for(n, n0))
-        if value != b_direct.coefficient(n):
-            failures.append(f"general b disagrees with direct series at n={n}")
+        beta = surface.beta(n)
+        data = ClassData(c=surface.degree(beta), g=surface.genus(beta),
+                         n0=n0.coefficient(n), n1=n1.coefficient(n))
+        value = b_general(data, chi=surface.euler_characteristic,
+                          terms=decompositions_for(n, n0))
+        if value != b_closed.coefficient(n):
+            failures.append(f"general b disagrees with closed series at n={n}")
             break
     _verdict("criterion 6: brute-force and general-formula oracles agree", failures)
 

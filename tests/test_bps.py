@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qbps.series import TruncatedSeries, qd
-from qbps.gw import n0_series
+from qbps.gw import NINE_POINT_BLOWUP, SurfaceContext, n0_series, n1_series
 from qbps.bps import (
     ClassData, DecompositionTerm,
     a_general, b_general, decompositions_for,
@@ -110,16 +110,25 @@ class TestSeriesRoutes:
         order = 60
         assert a_direct_series(order) == Fraction(-1, 12) * qd(n0_series(order))
 
-    def test_general_evaluator_matches_direct_series(self):
+    def test_general_evaluator_matches_closed_series(self):
         order = 25
         n0 = n0_series(order)
-        from qbps.gw import n1_series
         n1 = n1_series(order)
-        b_direct = b_direct_series(order)
+        b_closed = b_closed_series(order)
+        surface = NINE_POINT_BLOWUP
         for n in range(1, order + 1):
-            data = ClassData(c=1, g=n, n0=n0.coefficient(n), n1=n1.coefficient(n))
-            value = b_general(data, chi=12, terms=decompositions_for(n, n0))
-            assert value == b_direct.coefficient(n)
+            beta = surface.beta(n)
+            data = ClassData(c=surface.degree(beta), g=surface.genus(beta),
+                             n0=n0.coefficient(n), n1=n1.coefficient(n))
+            value = b_general(data, chi=surface.euler_characteristic,
+                              terms=decompositions_for(n, n0))
+            assert value == b_closed.coefficient(n)
+
+    def test_direct_route_reads_the_geometry(self, monkeypatch):
+        # chi enters b only through (chi/240) N1, so doubling it adds (1/20) N1.
+        monkeypatch.setattr("qbps.bps.NINE_POINT_BLOWUP", SurfaceContext(euler_characteristic=24))
+        order = 20
+        assert b_direct_series(order) == b_closed_series(order) + Fraction(1, 20) * n1_series(order)
 
 
 class TestBrace:

@@ -219,12 +219,15 @@ class TestRunAll:
         by_name = {r.name: r for r in run_all(order=40)}
         assert by_name["support_lemma"].order == 40
 
-    @pytest.mark.parametrize("sweep", [lambda: run_all(order=50, names=["mod10"]),
-                                       lambda: check_mod10(50)],
-                             ids=["run_all", "check_mod10"])
-    def test_short_sweep_rejected(self, monkeypatch, sweep):
-        monkeypatch.setattr("qbps.congruence.g_series", lambda order: g_series(order - 1))
-        with pytest.raises(RuntimeError, match="mod10 swept order 49"):
+    @pytest.mark.parametrize("name, built, sweep", [
+        ("mod10", g_series, lambda: run_all(order=50, names=["mod10"])),
+        ("mod10", g_series, lambda: check_mod10(50)),
+        ("support_lemma", partition_series, lambda: check_support_lemma(50)),
+        ("parity_factor", partition_series, lambda: check_parity_factor(50)),
+    ], ids=["run_all", "check_mod10", "check_support_lemma", "check_parity_factor"])
+    def test_short_sweep_rejected(self, monkeypatch, name, built, sweep):
+        monkeypatch.setattr(f"qbps.congruence.{built.__name__}", lambda order: built(order - 1))
+        with pytest.raises(RuntimeError, match=f"{name} swept order 49"):
             sweep()
 
     def test_default_depth_constants(self):
