@@ -37,8 +37,8 @@ __all__ = [
     "run_all", "DEFAULT_COMPOSITE_ORDER", "DEFAULT_SUPPORT_ORDER",
 ]
 
-# Recommended sweep depths for a bare run_all(); the quadratic products stay
-# minute-scale at these sizes.  Callers (and the CLI) can pass anything.
+# Recommended sweep depths for a bare run_all(), which then takes seconds,
+# mostly in b_routes' exact products.  Callers (and the CLI) can pass anything.
 DEFAULT_COMPOSITE_ORDER = 1000
 DEFAULT_SUPPORT_ORDER = 10000
 

@@ -2,14 +2,15 @@
 
 Conventions: the partition series P carries constant term p(0) = 1, forced by
 the product form prod_{m>=1} (1-q^m)^{-1}; the divisor-sum series G carries
-constant term 0 since sigma(0) is undefined.  Every downstream identity
-(inversion round-trips, logarithmic derivatives, the twelfth-power tables)
-relies on exactly this normalization.
+constant term 0 since sigma(0) is undefined.  P^-1 = prod (1-q^m) is written
+down by Euler's pentagonal number theorem and P is solved from P * P^-1 = 1,
+so nothing here inverts a series; G comes from an independent divisor sieve.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 from .series import TruncatedSeries
 
@@ -63,14 +64,14 @@ class QFormCatalog:
     def partition(self) -> TruncatedSeries:
         """P, the partition generating series."""
         if self._partition is None:
-            n = self._order
-            # Evaluate prod (1-q^m)^{-1} factor by factor: multiplying an
-            # in-place table by 1/(1-q^m) is the ascending update c[k] += c[k-m].
-            coeffs = [0] * (n + 1)
-            coeffs[0] = 1
-            for m in range(1, n + 1):
-                for k in range(m, n + 1):
-                    coeffs[k] += coeffs[k - m]
+            # Forward substitution in P * P^-1 = 1 over the nonzero e_g of
+            # P^-1: p(k) = -sum_g e_g p(k-g), O(sqrt k) terms per coefficient.
+            euler = self.power(-1).coefficients
+            coeffs, support = [1], []
+            for k in range(1, self._order + 1):
+                if euler[k]:
+                    support.append((k, euler[k]))
+                coeffs.append(-sum(e * coeffs[k - g] for g, e in support))
             self._partition = TruncatedSeries(coeffs)
         return self._partition
 
@@ -84,11 +85,18 @@ class QFormCatalog:
     def power(self, alpha: int) -> TruncatedSeries:
         """P^alpha at the catalog order, cached per exponent.
 
-        Every negative power is a power of the one cached P^-1, so P is
-        inverted at most once per catalog.
+        P^-1 is Euler's pentagonal series; every other negative power is a
+        power of it, and every non-negative power is a power of P.
         """
         if alpha not in self._powers:
-            if alpha < -1:
+            if alpha == -1:
+                # prod (1-q^m) = sum_{j in Z} (-1)^j q^{j(3j-1)/2}.
+                coeffs = [0] * (self._order + 1)
+                for j in range(-isqrt(self._order), isqrt(self._order) + 1):
+                    if (g := j * (3 * j - 1) // 2) <= self._order:
+                        coeffs[g] = -1 if j % 2 else 1
+                self._powers[alpha] = TruncatedSeries(coeffs)
+            elif alpha < -1:
                 self._powers[alpha] = self.power(-1) ** -alpha
             else:
                 self._powers[alpha] = self.partition ** alpha

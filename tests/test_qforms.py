@@ -4,7 +4,7 @@ from functools import reduce
 
 import pytest
 
-from qbps.series import qd
+from qbps.series import TruncatedSeries, qd
 from qbps.qforms import (
     sigma, partition_series, p_alpha, g_series, QFormCatalog, catalog_for,
 )
@@ -46,6 +46,13 @@ class TestPartitionSeries:
 
     def test_coefficients_are_plain_ints(self):
         assert all(isinstance(c, int) for c in partition_series(30).coefficients)
+
+    def test_deep_values_match_published_counts(self):
+        # Past the brute-force counter's reach; published values of p(n).
+        p = partition_series(1000)
+        assert p.coefficient(100) == 190569292
+        assert p.coefficient(200) == 3972999029388
+        assert p.coefficient(1000) == 24061467864032622473692149727991
 
 
 class TestPAlpha:
@@ -122,3 +129,14 @@ class TestCatalog:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             QFormCatalog(-1)
+
+    def test_nothing_is_inverted(self, monkeypatch):
+        def no_inverse(self):
+            raise AssertionError("the catalog inverted a series")
+
+        monkeypatch.setattr(TruncatedSeries, "inverse", no_inverse)
+        cat = QFormCatalog(300)
+        p, p_inv = cat.partition, cat.power(-1)
+        assert cat.power(-2) == p_inv * p_inv
+        assert cat.power(12).order == 300
+        assert p * p_inv == 1

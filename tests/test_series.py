@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import convolve
-from qbps.qforms import partition_series
+from qbps.qforms import p_alpha, partition_series
 from qbps.series import TruncatedSeries, ResidueSeries, qd
 
 
@@ -129,6 +129,7 @@ class TestInverse:
 
     def test_partition_inverse_is_pentagonal(self, oracle):
         assert partition_series(600).inverse().coefficients == tuple(oracle.pentagonal(600))
+        assert p_alpha(-1, 600).coefficients == tuple(oracle.pentagonal(600))
 
 
 class TestPow:
