@@ -11,11 +11,10 @@ from .series import TruncatedSeries, ResidueSeries, qd
 from .qforms import sigma, partition_series, p_alpha, g_series, QFormCatalog, catalog_for
 from .gw import (SurfaceContext, NINE_POINT_BLOWUP, GWTable,
                  n0_series, n1_series, n1_fiber, gw_table)
-from .bps import (ClassData, DecompositionTerm, BPSTable,
-                  a_general, b_general, decompositions_for,
+from .bps import (ClassData, a_general, b_general, decompositions_for,
                   a_direct_series, b_direct_series,
                   a_closed_series, b_closed_series, b_intermediate_series,
-                  brace_series, integrality_audit, bps_table)
+                  brace_series, integrality_audit)
 from .congruence import (CongruenceCheck, CHECK_NAMES,
                          check_mod10, check_mod5_reduction, check_support_lemma,
                          check_support_consequence, check_mod2_reduction,
@@ -29,11 +28,10 @@ __all__ = [
     "sigma", "partition_series", "p_alpha", "g_series", "QFormCatalog", "catalog_for",
     "SurfaceContext", "NINE_POINT_BLOWUP", "GWTable",
     "n0_series", "n1_series", "n1_fiber", "gw_table",
-    "ClassData", "DecompositionTerm", "BPSTable",
-    "a_general", "b_general", "decompositions_for",
+    "ClassData", "a_general", "b_general", "decompositions_for",
     "a_direct_series", "b_direct_series",
     "a_closed_series", "b_closed_series", "b_intermediate_series",
-    "brace_series", "integrality_audit", "bps_table",
+    "brace_series", "integrality_audit",
     "CongruenceCheck", "CHECK_NAMES",
     "check_mod10", "check_mod5_reduction", "check_support_lemma",
     "check_support_consequence", "check_mod2_reduction", "check_parity_factor",

@@ -5,8 +5,9 @@ is a real check and not a tautology:
 
   * the direct route: the general formulas (a_general, b_general) evaluated
     literally, term by term, for each class beta_n, with c, g and chi read
-    from NINE_POINT_BLOWUP and the splitting sum from decompositions_for
-    (a_direct_series, b_direct_series),
+    from NINE_POINT_BLOWUP (a_direct_series, b_direct_series); the splitting
+    sum is one plain tuple per pair (decompositions_for), built from the
+    fiber and section geometry read once per order,
   * closed forms in the partition and divisor-sum series
     (a_closed_series = -P12*G and b_closed_series = (1/10)P12*(7G^2 - G + DG)),
 
@@ -28,11 +29,10 @@ from .qforms import g_series, p_alpha
 from .gw import NINE_POINT_BLOWUP, n0_series, n1_series, n1_fiber
 
 __all__ = [
-    "ClassData", "DecompositionTerm", "BPSTable",
-    "a_general", "b_general", "decompositions_for",
+    "ClassData", "a_general", "b_general", "decompositions_for",
     "a_direct_series", "b_direct_series",
     "a_closed_series", "b_closed_series", "b_intermediate_series",
-    "brace_series", "integrality_audit", "bps_table",
+    "brace_series", "integrality_audit",
 ]
 
 
@@ -48,17 +48,6 @@ class ClassData:
     def __post_init__(self):
         if self.c <= 0:
             raise ValueError(f"degree c(beta) must be positive, got {self.c}")
-
-
-@dataclass(frozen=True)
-class DecompositionTerm:
-    """One summand of the splitting sum over beta' + beta'' = beta."""
-
-    c_prime: int
-    dot_prime_dprime: int
-    dot_dprime_dprime: int
-    n1_prime: object
-    n0_dprime: object
 
 
 def _binomial(a: int, b: int) -> int:
@@ -79,40 +68,56 @@ def b_general(data: ClassData, chi: int, terms):
 
     (1/2880)(12g^2 + gc - 24g) N0  +  (1/240) chi N1
       + (1/240) sum C(c-1, c') (beta'.beta'') (beta''.beta'') N1(beta') N0(beta'')
+
+    Each term is a tuple (c', beta'.beta'', beta''.beta'', N1(beta'), N0(beta'')).
     """
     g, c = data.g, data.c
     head = Fraction(12 * g * g + g * c - 24 * g, 2880) * data.n0
     middle = Fraction(chi, 240) * data.n1
-    # The fiber factors go first: C(c-1, c') (beta'.beta'') N1(beta') is exact
-    # and uncancelled, and on the section classes it is an int, so the long
-    # products with N0 stay in integer arithmetic.
-    tail = sum(
-        (_normalize(_binomial(c - 1, t.c_prime) * t.dot_prime_dprime * t.n1_prime)
-         * t.dot_dprime_dprime * t.n0_dprime)
-        for t in terms
-    )
+    tail = 0
+    for c_prime, dot_prime_dprime, dot_dprime_dprime, n1_prime, n0_dprime in terms:
+        # The fiber factor C(c-1, c') (beta'.beta'') N1(beta') goes first, exact and
+        # uncancelled.  On the section classes it is an int, so it is divided out
+        # and the long products with N0 stay in integer arithmetic.
+        numerator = _binomial(c - 1, c_prime) * dot_prime_dprime * n1_prime.numerator
+        factor, rest = divmod(numerator, n1_prime.denominator)
+        if rest:
+            factor = Fraction(numerator, n1_prime.denominator)
+        tail += factor * dot_dprime_dprime * n0_dprime
     return _normalize(head + middle + Fraction(1, 240) * tail)
 
 
-def decompositions_for(n: int, n0: TruncatedSeries) -> list[DecompositionTerm]:
+def _splitting_tables(order: int, n0: TruncatedSeries):
+    """The geometry of every splitting of beta_n, n <= order, read once from NINE_POINT_BLOWUP.
+
+    fibers[l-1] = (lF, c(lF), N1(lF)) for l = 1..order, and
+    sections[k] = (beta_k, beta_k.beta_k, N0(beta_k)) for k = 0..order-1.
+    """
+    surface = NINE_POINT_BLOWUP
+    fibers = [(f := surface.fiber(l), surface.degree(f), n1_fiber(l)) for l in range(1, order + 1)]
+    sections = [(b := surface.beta(k), surface.intersect(b, b), n0.coefficient(k))
+                for k in range(order)]
+    return surface.intersect, fibers, sections
+
+
+def _splittings(n: int, tables) -> list[tuple]:
+    """The terms of beta_n = (n-k)F + beta_k, k = 0..n-1, from _splitting_tables."""
+    intersect, fibers, sections = tables
+    return [(c_prime, intersect(fiber, beta), dot_dprime_dprime, n1_prime, n0_dprime)
+            for (fiber, c_prime, n1_prime), (beta, dot_dprime_dprime, n0_dprime)
+            in zip(reversed(fibers[:n]), sections[:n])]
+
+
+def decompositions_for(n: int, n0: TruncatedSeries) -> list[tuple]:
     """All splittings of beta_n with a genus-1 part: beta' = (n-k)F, beta'' = beta_k.
 
-    c(beta') = 0, beta'.beta'' = n-k and beta''.beta'' = 2k-1 (k = 0..n-1) come from
-    NINE_POINT_BLOWUP.  The n0 series must extend at least to order n-1.
+    One tuple (c', beta'.beta'', beta''.beta'', N1(beta'), N0(beta'')) per k = 0..n-1,
+    from NINE_POINT_BLOWUP: on the nine-point blow-up c' = 0, beta'.beta'' = n-k and
+    beta''.beta'' = 2k-1.  The n0 series must extend at least to order n-1.
     """
     if n < 0:
         raise ValueError("class index must be non-negative")
-    surface = NINE_POINT_BLOWUP
-    return [
-        DecompositionTerm(
-            c_prime=surface.degree(surface.fiber(n - k)),
-            dot_prime_dprime=surface.intersect(surface.fiber(n - k), surface.beta(k)),
-            dot_dprime_dprime=surface.intersect(surface.beta(k), surface.beta(k)),
-            n1_prime=n1_fiber(n - k),
-            n0_dprime=n0.coefficient(k),
-        )
-        for k in range(n)
-    ]
+    return _splittings(n, _splitting_tables(n, n0))
 
 
 def _class_data(n: int, n0: TruncatedSeries, n1: TruncatedSeries) -> ClassData:
@@ -132,13 +137,15 @@ def a_direct_series(order: int) -> TruncatedSeries:
 def b_direct_series(order: int) -> TruncatedSeries:
     """Coefficient n is b_general of beta_n, evaluated literally term by term.
 
-    c, g and chi come from NINE_POINT_BLOWUP and the splitting sum from
-    decompositions_for; nothing is simplified algebraically, so this path stays
-    independent of the closed form.
+    c, g and chi come from NINE_POINT_BLOWUP, and the splitting sum of each class
+    is decompositions_for's, built from one set of tables for the whole order.
+    Nothing is simplified algebraically, so this path stays independent of the
+    closed form.
     """
     n0, n1 = n0_series(order), n1_series(order)
     chi = NINE_POINT_BLOWUP.euler_characteristic
-    return TruncatedSeries([b_general(_class_data(n, n0, n1), chi, decompositions_for(n, n0))
+    tables = _splitting_tables(order, n0)
+    return TruncatedSeries([b_general(_class_data(n, n0, n1), chi, _splittings(n, tables))
                             for n in range(order + 1)])
 
 
@@ -178,18 +185,3 @@ def b_intermediate_series(order: int) -> TruncatedSeries:
 def integrality_audit(f: TruncatedSeries) -> list[int]:
     """Indices whose coefficient is not an integer.  Empty means the claim holds."""
     return [k for k, c in enumerate(f.coefficients) if c.denominator != 1]
-
-
-@dataclass(frozen=True)
-class BPSTable:
-    """Coefficient n of a_series / b_series is a(beta_n) / b(beta_n)."""
-
-    a_series: TruncatedSeries
-    b_series: TruncatedSeries
-    order: int
-
-
-def bps_table(order: int) -> BPSTable:
-    return BPSTable(a_series=a_closed_series(order),
-                    b_series=b_closed_series(order),
-                    order=order)

@@ -12,7 +12,7 @@ import sys
 
 import click
 
-from .bps import a_closed_series, b_closed_series, brace_series, bps_table
+from .bps import a_closed_series, b_closed_series, brace_series
 from .congruence import CHECK_NAMES, run_all
 from .gw import gw_table, n1_fiber
 from .qforms import g_series, p_alpha, partition_series
@@ -93,13 +93,9 @@ def table(kind, terms, fmt):
             for n in range(terms + 1)
         )
     else:
-        invariants = bps_table(terms)
+        a, b = a_closed_series(terms), b_closed_series(terms)
         header = ["n", "a", "b"]
-        rows = (
-            [str(n), str(invariants.a_series.coefficient(n)),
-             str(invariants.b_series.coefficient(n))]
-            for n in range(terms + 1)
-        )
+        rows = ([str(n), str(a.coefficient(n)), str(b.coefficient(n))] for n in range(terms + 1))
     # rows is a generator, so csv output streams without holding the whole table.
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .series import TruncatedSeries, qd, _normalize
 from .qforms import g_series, p_alpha, sigma
@@ -92,13 +91,11 @@ def n1_series(order: int) -> TruncatedSeries:
     return p_alpha(12, order) * qd(g_series(order))
 
 
-@lru_cache(maxsize=None)
 def n1_fiber(l: int):
     """Genus-1 count of the l-fold fiber class lF: sigma(l)/l, exact.
 
     Not an integer in general (l = 2 gives 3/2); integrality is a statement
-    about the combined invariants downstream, not about these inputs.  Cached
-    per multiplicity: every class beta_n with n >= l splits off lF.
+    about the combined invariants downstream, not about these inputs.
     """
     if l < 1:
         raise ValueError("fiber multiplicity must be positive")

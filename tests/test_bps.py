@@ -7,11 +7,11 @@ import pytest
 from qbps.series import TruncatedSeries, qd
 from qbps.gw import NINE_POINT_BLOWUP, SurfaceContext, n0_series, n1_series
 from qbps.bps import (
-    ClassData, DecompositionTerm,
+    ClassData,
     a_general, b_general, decompositions_for,
     a_direct_series, b_direct_series,
     a_closed_series, b_closed_series, b_intermediate_series,
-    brace_series, integrality_audit, bps_table,
+    brace_series, integrality_audit,
 )
 
 # first values, computed independently by hand/script before freezing
@@ -44,8 +44,8 @@ class TestAGeneral:
 class TestBGeneral:
     def test_first_section_class(self):
         data = ClassData(c=1, g=1, n0=12, n1=1)
-        term = DecompositionTerm(c_prime=0, dot_prime_dprime=1, dot_dprime_dprime=-1,
-                                 n1_prime=1, n0_dprime=1)
+        # (c', beta'.beta'', beta''.beta'', N1(beta'), N0(beta''))
+        term = (0, 1, -1, 1, 1)
         assert b_general(data, chi=12, terms=[term]) == 0
 
     def test_empty_sum_with_trivial_class(self):
@@ -58,22 +58,18 @@ class TestBGeneral:
     def test_out_of_range_binomial_kills_term(self):
         # c - 1 = 0, so any term with c' = 1 contributes nothing
         data = ClassData(c=1, g=0, n0=0, n1=0)
-        term = DecompositionTerm(c_prime=1, dot_prime_dprime=100, dot_dprime_dprime=100,
-                                 n1_prime=100, n0_dprime=100)
+        term = (1, 100, 100, 100, 100)
         assert b_general(data, chi=12, terms=[term]) == 0
 
 
 class TestDecompositions:
     def test_single_splitting(self):
         terms = decompositions_for(1, n0_series(1))
-        assert terms == [DecompositionTerm(0, 1, -1, 1, 1)]
+        assert terms == [(0, 1, -1, 1, 1)]
 
     def test_two_splittings(self):
         terms = decompositions_for(2, n0_series(2))
-        assert terms == [
-            DecompositionTerm(0, 2, -1, Fraction(3, 2), 1),
-            DecompositionTerm(0, 1, 1, 1, 12),
-        ]
+        assert terms == [(0, 2, -1, Fraction(3, 2), 1), (0, 1, 1, 1, 12)]
 
     def test_empty_at_zero(self):
         assert decompositions_for(0, n0_series(0)) == []
@@ -81,6 +77,21 @@ class TestDecompositions:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             decompositions_for(-1, n0_series(0))
+
+    def test_short_n0_rejected(self):
+        # N0 is read up to beta_{n-1}; a short series must not shorten the sum.
+        with pytest.raises(IndexError):
+            decompositions_for(5, n0_series(3))
+
+    def test_reads_the_geometry(self, monkeypatch):
+        # With S.S = -2, beta_k.beta_k = 2k - 2; the per-order tables must
+        # follow the surface, and follow it back.
+        monkeypatch.setattr("qbps.bps.NINE_POINT_BLOWUP", SurfaceContext(s_self_intersection=-2))
+        assert decompositions_for(2, n0_series(2)) == [(0, 2, -2, Fraction(3, 2), 1),
+                                                       (0, 1, 0, 1, 12)]
+        monkeypatch.undo()
+        assert decompositions_for(2, n0_series(2)) == [(0, 2, -1, Fraction(3, 2), 1),
+                                                       (0, 1, 1, 1, 12)]
 
 
 class TestSeriesRoutes:
@@ -150,11 +161,3 @@ class TestIntegrality:
         order = 120
         assert integrality_audit(a_closed_series(order)) == []
         assert integrality_audit(b_closed_series(order)) == []
-
-
-class TestTable:
-    def test_table_heads(self):
-        table = bps_table(8)
-        assert table.a_series.coefficients == A_HEAD
-        assert table.b_series.coefficients == B_HEAD
-        assert table.order == 8
