@@ -75,11 +75,14 @@ def b_general(data: ClassData, chi: int, terms):
     head = Fraction(12 * g * g + g * c - 24 * g, 2880) * data.n0
     middle = Fraction(chi, 240) * data.n1
     tail = 0
+    binomials = {}      # C(c-1, c') per distinct c'; c is fixed for the class
     for c_prime, dot_prime_dprime, dot_dprime_dprime, n1_prime, n0_dprime in terms:
+        if c_prime not in binomials:
+            binomials[c_prime] = _binomial(c - 1, c_prime)
         # The fiber factor C(c-1, c') (beta'.beta'') N1(beta') goes first, exact and
         # uncancelled.  On the section classes it is an int, so it is divided out
         # and the long products with N0 stay in integer arithmetic.
-        numerator = _binomial(c - 1, c_prime) * dot_prime_dprime * n1_prime.numerator
+        numerator = binomials[c_prime] * dot_prime_dprime * n1_prime.numerator
         factor, rest = divmod(numerator, n1_prime.denominator)
         if rest:
             factor = Fraction(numerator, n1_prime.denominator)

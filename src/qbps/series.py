@@ -5,8 +5,11 @@ unbounded integers) or, for congruence sweeps, in Z/m.  Floating point is
 deliberately rejected: everything downstream asserts exact integrality and
 congruence identities, which rounding would silently destroy.
 
-Both coefficient domains share one truncated-ring core and one product kernel,
-a Kronecker-substitution bigint multiply: exact series enter it as integers
+Both coefficient domains share one truncated-ring core and one product kernel:
+Kronecker packing of both operands into decimal digit strings, then a single
+libmpdec multiply (the C library behind the stdlib decimal module, which
+multiplies huge operands by a number-theoretic transform) under a private
+context that traps any rounding.  Exact series enter the kernel as integers
 over a common denominator, and exact inversion is Newton iteration on top of it.
 Arithmetic between series of different truncation orders truncates to the
 smaller order, and equality compares coefficients up to the smaller order.
@@ -15,6 +18,7 @@ smaller order, and equality compares coefficients up to the smaller order.
 from __future__ import annotations
 
 import math
+from decimal import MAX_EMAX, MAX_PREC, Context, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
 
 __all__ = ["TruncatedSeries", "ResidueSeries", "qd"]
@@ -37,24 +41,49 @@ def _over_common_denominator(coeffs):
     return coeffs if d == 1 else [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
+# Every signal that a digit was lost raises, in each of the kernel's contexts.
+_TRAPS = [Inexact, Rounded, InvalidOperation, Overflow]
+# The kernel's own context, wide enough for any product.  The kernel never
+# computes in the thread's current context.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=_TRAPS)
+
+
 def _convolution(a, b) -> list[int]:
     """Cauchy product through q^(len-1) of two equal-length sequences of signed ints.
 
-    Kronecker substitution: each sequence is packed into fixed-width slots of
-    one bigint, and the low len slots of a single bigint product are the result.
-    A slot holds len * max|a| * max|b|, which bounds each operand and every low
-    product coefficient, plus a sign bit; a value sits offset by half its range.
+    Kronecker substitution in base 10: each sequence is packed into fixed-width
+    decimal slots of one digit string, read as one Decimal, and a single libmpdec
+    multiply of the two under the private trapping context _EXACT gives the
+    result in its low len slots.  A slot holds len * max|a| * max|b|, which bounds
+    each operand and every low product coefficient, with room for a sign: a value
+    sits offset by half the slot range.  Values cross between int and digits only
+    through Decimal, never str(int) or int(str), so slots past the int/str digit
+    limit stay exact.
     """
     length = len(a)
     bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + length.bit_length()
-    width = bits // 8 + 1
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * length, "little")
-    pa, pb = (int.from_bytes(b"".join((c + half).to_bytes(width, "little") for c in v), "little")
-              - bias for v in (a, b))
-    raw = (pa * pb + bias).to_bytes(2 * length * width, "little", signed=True)
-    return [int.from_bytes(raw[i:i + width], "little") - half
-            for i in range(0, length * width, width)]
+    width = bits * 30103 // 100000 + 2      # 10^(width-1) > 2^bits, as log10(2) < 0.30103
+    half = 5 * 10 ** (width - 1)
+    span = length * width
+    bias = _EXACT.create_decimal(("5" + "0" * (width - 1)) * length)
+
+    def packed(v):
+        # sum v[i] 10^(width i).  |c| < 10^(width-1) for every operand and low
+        # product coefficient c, so c + half has exactly width digits: no padding.
+        return _EXACT.subtract(_EXACT.create_decimal("".join(
+            map(_EXACT.to_sci_string, [c + half for c in reversed(v)]))), bias)
+
+    pa = packed(a)
+    # A square is packed once, and libmpdec squares with fewer transforms.
+    raw = _EXACT.add(_EXACT.multiply(pa, pa if b is a else packed(b)), bias)
+    if raw.is_signed():
+        # The high slots went negative; 10^(2 span) exceeds |raw| and leaves the low digits.
+        raw = _EXACT.add(raw, _EXACT.scaleb(1, 2 * span))
+    # A shift at precision span keeps only the low span digits, so the high half
+    # of the product is never written out as a string.
+    digits = _EXACT.to_sci_string(Context(prec=span, Emax=MAX_EMAX, traps=_TRAPS).shift(raw, 0))
+    slots = map(_EXACT.create_decimal, [digits[i - width:i] for i in range(span, 0, -width)])
+    return [int(c) - half for c in slots]
 
 
 class _Series:

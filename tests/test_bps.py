@@ -61,6 +61,12 @@ class TestBGeneral:
         term = (1, 100, 100, 100, 100)
         assert b_general(data, chi=12, terms=[term]) == 0
 
+    def test_binomial_follows_each_terms_degree(self):
+        # c - 1 = 4: C(4, c') over c' = 0, 2, 2, 4, 5, 1 is 1 + 6 + 6 + 1 + 0 + 4
+        data = ClassData(c=5, g=0, n0=0, n1=0)
+        terms = [(c_prime, 1, 1, 1, 240) for c_prime in (0, 2, 2, 4, 5, 1)]
+        assert b_general(data, chi=12, terms=terms) == 18
+
 
 class TestDecompositions:
     def test_single_splitting(self):

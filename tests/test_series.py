@@ -1,5 +1,7 @@
 """Truncated-series arithmetic: examples pinned by hand, then randomized laws."""
 
+import decimal
+import sys
 from fractions import Fraction
 
 import pytest
@@ -109,6 +111,41 @@ class TestMul:
         for a, b in cases:
             assert (TruncatedSeries(a) * TruncatedSeries(b)).coefficients == tuple(
                 oracle.convolve(a, b))
+
+
+class TestKernel:
+    """The product kernel packs digits into one libmpdec multiply; these pin its edges."""
+
+    def test_slots_past_the_int_str_digit_limit(self, oracle):
+        # 7^6000 has 5071 digits, so each slot is wider than the default
+        # 4300-digit int/str conversion limit.
+        limit = sys.get_int_max_str_digits()
+        big = 7 ** 6000
+        a = [(-1) ** k * big + k for k in range(40)]
+        b = [(-1) ** (k // 3) * big - 2 * k for k in range(40)]
+        f = TruncatedSeries(a)
+        assert (f * TruncatedSeries(b)).coefficients == tuple(oracle.convolve(a, b))
+        assert (f * f).coefficients == tuple(oracle.convolve(a, a))
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_ignores_the_callers_decimal_context(self, oracle):
+        a = [3 ** 40 * k - 7 for k in range(-15, 15)]
+        b = [(-1) ** k * 11 ** 30 for k in range(30)]
+        with decimal.localcontext(decimal.Context(prec=5, traps=[])) as ctx:
+            before = repr(ctx)
+            product = TruncatedSeries(a) * TruncatedSeries(b)
+            assert repr(decimal.getcontext()) == before
+        assert product.coefficients == tuple(oracle.convolve(a, b))
+
+    def test_negative_full_product(self, oracle):
+        # The top coefficients of a and b have opposite signs, so the packed
+        # product, high slots included, is negative.
+        a = [5, -3, 8, 0, 2, -9]
+        b = [-4, 7, 1, -6, 3, 9]
+        cases = [(a, b), (b, a), ([-1, -1], [1, 1]), ([0, 2 ** 90], [0, -(2 ** 90)])]
+        for x, y in cases:
+            assert (TruncatedSeries(x) * TruncatedSeries(y)).coefficients == tuple(
+                oracle.convolve(x, y))
 
 
 class TestInverse:
