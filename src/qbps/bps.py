@@ -152,10 +152,14 @@ def b_direct_series(order: int) -> TruncatedSeries:
                             for n in range(order + 1)])
 
 
+def _brace(g):
+    """7G^2 - G + DG from G, in either coefficient domain: exact, or reduced mod m."""
+    return 7 * (g * g) - g + qd(g)
+
+
 def brace_series(order: int) -> TruncatedSeries:
     """7G^2 - G + DG, the factor whose coefficients are all divisible by 10."""
-    g = g_series(order)
-    return 7 * (g * g) - g + qd(g)
+    return _brace(g_series(order))
 
 
 def a_closed_series(order: int) -> TruncatedSeries:

@@ -13,7 +13,7 @@ import sys
 import click
 
 from .bps import a_closed_series, b_closed_series, brace_series
-from .congruence import CHECK_NAMES, run_all
+from .congruence import CHECK_NAMES, _selected_names, run_all
 from .gw import gw_table, n1_fiber
 from .qforms import g_series, p_alpha, partition_series
 
@@ -56,10 +56,10 @@ def verify(terms, checks_csv):
         names = [piece.strip() for piece in checks_csv.split(",") if piece.strip()]
         if not names:
             raise click.UsageError("--checks got an empty list")
-        unknown = [n for n in names if n not in CHECK_NAMES]
-        if unknown:
-            raise click.UsageError(
-                f"unknown check name(s): {', '.join(unknown)}; known: {', '.join(CHECK_NAMES)}")
+        try:
+            _selected_names(names)
+        except ValueError as error:
+            raise click.UsageError(str(error)) from None
     results = run_all(order=terms, names=names)
     width = max(len(r.name) for r in results)
     any_failed = False

@@ -14,20 +14,25 @@ Alongside the residue checks, run_all replays the exact-arithmetic facts the
 proof leans on: route equalities for a and b, their integrality, and the
 logarithmic-derivative identities feeding the closed forms.
 
-Every congruence check accepts an optional single-coefficient perturbation so
-tests can confirm that failure reporting points at exactly the damaged index.
+All 13 checks are rows of one table, name -> (modulus, build).  build(order)
+returns the series to scan and its failure rule: rule(k, c) is None for a good
+coefficient c of q^k, else the value to report.  Most rows scan a series that
+must vanish; the support lemma objects only at forbidden indices, the
+integrality rows only at fractions.  One scanner, _run, turns any row into its
+CongruenceCheck.  A row with a modulus is a congruence check and accepts an
+optional single-coefficient perturbation, so tests can confirm that failure
+reporting points at exactly the damaged index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import ResidueSeries, TruncatedSeries, qd
+from .series import qd
 from .qforms import g_series, p_alpha, partition_series
 from .bps import (
-    a_closed_series, a_direct_series,
+    _brace, a_closed_series, a_direct_series,
     b_closed_series, b_direct_series, b_intermediate_series,
-    integrality_audit,
 )
 
 __all__ = [
@@ -65,47 +70,108 @@ class CongruenceCheck:
             raise ValueError("passed must mirror the absence of a first failure")
 
 
-def _perturbed(series, perturbation: Perturbation | None):
-    if perturbation is None:
-        return series
-    index, delta = perturbation
-    return series.with_coefficient(index, series.coefficient(index) + delta)
+# Failure rules: (index, coefficient) -> None, or the value to report.
+def _nonzero(k, c):
+    return c or None
 
 
-def _result(name: str, modulus: int | None, scanned, order: int, failure) -> CongruenceCheck:
+def _off_support(k, r):
+    # One-directional: residues at indices 0 or 1 mod 5 are unconstrained.
+    return r if r and k % 5 not in (0, 1) else None
+
+
+def _fractional(k, c):
+    return c if c.denominator != 1 else None
+
+
+def _p2_mod5(order: int):
+    """P_2 mod 5, reduced before squaring."""
+    return partition_series(order).reduce_mod(5) ** 2
+
+
+def _p2_mod5_operator(order: int):
+    """(D^2 - D) P_2 mod 5."""
+    p2 = _p2_mod5(order)
+    return qd(qd(p2)) - qd(p2)
+
+
+def _mod5_reduction(order: int):
+    # The right side comes from P and P^-2 alone, never from the brace.
+    lhs = _brace(g_series(order).reduce_mod(5))
+    return lhs - 3 * (p_alpha(-2, order).reduce_mod(5) * _p2_mod5_operator(order)), _nonzero
+
+
+def _mod2_reduction(order: int):
+    lhs = _brace(g_series(order).reduce_mod(2))
+    p = partition_series(order).reduce_mod(2)
+    return lhs - p_alpha(-1, order).reduce_mod(2) * (qd(qd(p)) + qd(p)), _nonzero
+
+
+def _parity_factor(order: int):
+    p = partition_series(order)
+
+    def rule(k, actual):
+        if actual != k * (k + 1) * p[k]:
+            return actual
+        return actual % 2 or None
+    return qd(qd(p)) + qd(p), rule
+
+
+def _g_identity(order: int):
+    return g_series(order) - p_alpha(-1, order) * qd(partition_series(order)), _nonzero
+
+
+def _p12_identity(order: int):
+    p12 = p_alpha(12, order)
+    return qd(p12) - 12 * (p12 * g_series(order)), _nonzero
+
+
+# name -> (modulus, build), run in this order.  modulus None marks an exact
+# identity; the other rows are the congruence checks.
+_CHECKS = {
+    "mod10": (10, lambda order: (_brace(g_series(order).reduce_mod(10)), _nonzero)),
+    "mod5_reduction": (5, _mod5_reduction),
+    "support_lemma": (5, lambda order: (_p2_mod5(order), _off_support)),
+    "support_consequence": (5, lambda order: (_p2_mod5_operator(order), _nonzero)),
+    "mod2_reduction": (2, _mod2_reduction),
+    "parity_factor": (2, _parity_factor),
+    "a_routes": (None, lambda order: (a_direct_series(order) - a_closed_series(order), _nonzero)),
+    "b_routes": (None, lambda order: (b_direct_series(order) - b_closed_series(order), _nonzero)),
+    "b_intermediate": (None, lambda order: (
+        b_intermediate_series(order) - b_closed_series(order), _nonzero)),
+    "a_integrality": (None, lambda order: (a_closed_series(order), _fractional)),
+    "b_integrality": (None, lambda order: (b_closed_series(order), _fractional)),
+    "g_identity": (None, _g_identity),
+    "p12_identity": (None, _p12_identity),
+}
+
+CHECK_NAMES = tuple(_CHECKS)
+
+
+def _run(name: str, order: int, perturbation: Perturbation | None) -> CongruenceCheck:
+    """Build the row's series, perturb it, and report its first offending index."""
+    modulus, build = _CHECKS[name]
+    series, rule = build(order)
+    if perturbation is not None:
+        index, delta = perturbation
+        series = series.with_coefficient(index, series[index] + delta)
     # Mixed-order arithmetic truncates silently, so a short series would still
     # pass; refuse any scan that does not reach the requested depth.
-    if scanned.order != order:
-        raise RuntimeError(f"check {name} swept order {scanned.order}, not the requested {order}")
+    if series.order != order:
+        raise RuntimeError(f"check {name} swept order {series.order}, not the requested {order}")
+    failure = next(((k, value) for k, c in enumerate(series.coefficients)
+                    if (value := rule(k, c)) is not None), None)
     return CongruenceCheck(name, modulus, order, failure is None, failure)
-
-
-def _zero_scan(name: str, series: ResidueSeries, order: int) -> CongruenceCheck:
-    return _result(name, series.modulus, series, order, series.first_nonzero())
-
-
-def _exact_zero_scan(name: str, difference: TruncatedSeries, order: int) -> CongruenceCheck:
-    failure = next(((k, c) for k, c in enumerate(difference.coefficients) if c), None)
-    return _result(name, None, difference, order, failure)
-
-
-def _brace_mod(order: int, modulus: int) -> ResidueSeries:
-    g = g_series(order).reduce_mod(modulus)
-    return 7 * (g * g) - g + qd(g)
 
 
 def check_mod10(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
     """7G^2 - G + DG vanishes identically mod 10."""
-    return _zero_scan("mod10", _perturbed(_brace_mod(order, 10), perturbation), order)
+    return _run("mod10", order, perturbation)
 
 
 def check_mod5_reduction(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
     """Mod 5 the brace equals 3 P_{-2} (D^2 - D) P_2."""
-    lhs = _brace_mod(order, 5)
-    p2 = partition_series(order).reduce_mod(5) ** 2
-    pm2 = p_alpha(-2, order).reduce_mod(5)
-    rhs = 3 * (pm2 * (qd(qd(p2)) - qd(p2)))
-    return _zero_scan("mod5_reduction", _perturbed(lhs - rhs, perturbation), order)
+    return _run("mod5_reduction", order, perturbation)
 
 
 def check_support_lemma(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
@@ -113,26 +179,17 @@ def check_support_lemma(order: int, perturbation: Perturbation | None = None) ->
 
     One-directional: residues at permitted indices are unconstrained.
     """
-    p2 = _perturbed(partition_series(order).reduce_mod(5) ** 2, perturbation)
-    failure = next(((k, r) for k, r in enumerate(p2.coefficients) if r and k % 5 not in (0, 1)),
-                   None)
-    return _result("support_lemma", 5, p2, order, failure)
+    return _run("support_lemma", order, perturbation)
 
 
 def check_support_consequence(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
     """(D^2 - D) P_2 vanishes mod 5: on the support, the index satisfies k^2 = k."""
-    p2 = partition_series(order).reduce_mod(5) ** 2
-    value = qd(qd(p2)) - qd(p2)
-    return _zero_scan("support_consequence", _perturbed(value, perturbation), order)
+    return _run("support_consequence", order, perturbation)
 
 
 def check_mod2_reduction(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
     """Mod 2 the brace equals P_{-1} (D^2 + D) P."""
-    lhs = _brace_mod(order, 2)
-    p = partition_series(order).reduce_mod(2)
-    pm1 = p_alpha(-1, order).reduce_mod(2)
-    rhs = pm1 * (qd(qd(p)) + qd(p))
-    return _zero_scan("mod2_reduction", _perturbed(lhs - rhs, perturbation), order)
+    return _run("mod2_reduction", order, perturbation)
 
 
 def check_parity_factor(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
@@ -143,78 +200,21 @@ def check_parity_factor(order: int, perturbation: Perturbation | None = None) ->
     On failure the payload carries the exact coefficient (identity half) or
     its parity (evenness half).
     """
-    p = partition_series(order)
-    value = _perturbed(qd(qd(p)) + qd(p), perturbation)
-    failure = None
-    for k, (actual, count) in enumerate(zip(value.coefficients, p.coefficients)):
-        if actual != k * (k + 1) * count:
-            failure = (k, actual)
-            break
-        if actual % 2:
-            failure = (k, actual % 2)
-            break
-    return _result("parity_factor", 2, value, order, failure)
+    return _run("parity_factor", order, perturbation)
 
 
-def _check_a_routes(order: int) -> CongruenceCheck:
-    return _exact_zero_scan("a_routes", a_direct_series(order) - a_closed_series(order), order)
-
-
-def _check_b_routes(order: int) -> CongruenceCheck:
-    return _exact_zero_scan("b_routes", b_direct_series(order) - b_closed_series(order), order)
-
-
-def _check_b_intermediate(order: int) -> CongruenceCheck:
-    return _exact_zero_scan("b_intermediate",
-                            b_intermediate_series(order) - b_closed_series(order), order)
-
-
-def _integrality(name: str, series: TruncatedSeries, order: int) -> CongruenceCheck:
-    bad = integrality_audit(series)
-    failure = (bad[0], series.coefficient(bad[0])) if bad else None
-    return _result(name, None, series, order, failure)
-
-
-def _check_a_integrality(order: int) -> CongruenceCheck:
-    return _integrality("a_integrality", a_closed_series(order), order)
-
-
-def _check_b_integrality(order: int) -> CongruenceCheck:
-    return _integrality("b_integrality", b_closed_series(order), order)
-
-
-def _check_g_identity(order: int) -> CongruenceCheck:
-    p = partition_series(order)
-    value = g_series(order) - p_alpha(-1, order) * qd(p)
-    return _exact_zero_scan("g_identity", value, order)
-
-
-def _check_p12_identity(order: int) -> CongruenceCheck:
-    p12 = p_alpha(12, order)
-    value = qd(p12) - 12 * (p12 * g_series(order))
-    return _exact_zero_scan("p12_identity", value, order)
-
-
-_CONGRUENCE_RUNNERS = {
-    "mod10": check_mod10,
-    "mod5_reduction": check_mod5_reduction,
-    "support_lemma": check_support_lemma,
-    "support_consequence": check_support_consequence,
-    "mod2_reduction": check_mod2_reduction,
-    "parity_factor": check_parity_factor,
-}
-
-_EXACT_RUNNERS = {
-    "a_routes": _check_a_routes,
-    "b_routes": _check_b_routes,
-    "b_intermediate": _check_b_intermediate,
-    "a_integrality": _check_a_integrality,
-    "b_integrality": _check_b_integrality,
-    "g_identity": _check_g_identity,
-    "p12_identity": _check_p12_identity,
-}
-
-CHECK_NAMES = tuple(_CONGRUENCE_RUNNERS) + tuple(_EXACT_RUNNERS)
+def _selected_names(names) -> set[str]:
+    """The checks to run: all for None, else a collection of known check names."""
+    if names is None:
+        return set(CHECK_NAMES)
+    if isinstance(names, str):
+        raise TypeError(f"check names must be a collection of names, not the string {names!r}")
+    selected = set(names)
+    unknown = sorted(selected.difference(CHECK_NAMES))
+    if unknown:
+        raise ValueError(f"unknown check name(s): {', '.join(unknown)}; "
+                         f"known: {', '.join(CHECK_NAMES)}")
+    return selected
 
 
 def run_all(order: int | None = None, support_order: int | None = None,
@@ -234,23 +234,11 @@ def run_all(order: int | None = None, support_order: int | None = None,
             support_order = DEFAULT_SUPPORT_ORDER
     if support_order is None:
         support_order = order
-    selected = set(CHECK_NAMES) if names is None else set(names)
-    unknown = sorted(selected - set(CHECK_NAMES))
-    if unknown:
-        raise ValueError(f"unknown check name(s): {', '.join(unknown)}")
+    selected = _selected_names(names)
     perturbations = dict(perturbations or {})
-    not_perturbable = sorted(set(perturbations) - set(_CONGRUENCE_RUNNERS))
+    not_perturbable = sorted(set(perturbations) - {n for n, (m, _) in _CHECKS.items() if m})
     if not_perturbable:
         raise ValueError(
             f"perturbation only applies to congruence checks, not: {', '.join(not_perturbable)}")
-
-    results = []
-    for name in CHECK_NAMES:
-        if name not in selected:
-            continue
-        depth = support_order if name == "support_lemma" else order
-        if name in _CONGRUENCE_RUNNERS:
-            results.append(_CONGRUENCE_RUNNERS[name](depth, perturbation=perturbations.get(name)))
-        else:
-            results.append(_EXACT_RUNNERS[name](depth))
-    return results
+    return [_run(name, support_order if name == "support_lemma" else order, perturbations.get(name))
+            for name in CHECK_NAMES if name in selected]

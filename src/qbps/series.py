@@ -165,6 +165,8 @@ class _Series:
         return NotImplemented
 
     def __rsub__(self, other):
+        if not isinstance(other, self._scalars):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -200,6 +202,8 @@ class _Series:
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, self._scalars):
+            return self._coeffs[0] == self._coerce(other) and not any(self._coeffs[1:])
         if not isinstance(other, type(self)):
             return NotImplemented
         n = min(self.order, other.order)
@@ -271,11 +275,6 @@ class TruncatedSeries(_Series):
             else:
                 residues.append(c % modulus)
         return ResidueSeries(residues, modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._coeffs[0] == other and not any(self._coeffs[1:])
-        return super().__eq__(other)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self._coeffs[:6])

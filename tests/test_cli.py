@@ -50,6 +50,7 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--checks", "nonsense"])
         assert result.exit_code == 2
         assert "unknown check" in result.output
+        assert "known: mod10," in result.output
 
     def test_empty_check_list_is_usage_error(self, runner):
         result = runner.invoke(main, ["verify", "--checks", " , "])

@@ -196,17 +196,22 @@ class TestRunAll:
         with pytest.raises(ValueError):
             run_all(order=10, names=["mod10", "bogus"])
 
+    def test_bare_string_of_names_rejected(self):
+        with pytest.raises(TypeError):
+            run_all(order=10, names="mod10")
+
     def test_perturbing_exact_check_rejected(self):
         with pytest.raises(ValueError):
             run_all(order=10, perturbations={"a_routes": (1, 1)})
 
-    def test_mutation_hook_hits_only_its_target(self):
-        results = run_all(order=60, perturbations={"mod10": (13, 7)})
-        by_name = {r.name: r for r in results}
-        assert not by_name["mod10"].passed
-        assert by_name["mod10"].first_failure == (13, 7)
-        others = [r for r in results if r.name != "mod10"]
-        assert all(r.passed for r in others)
+    @pytest.mark.parametrize("target", ["mod10", "mod5_reduction", "support_lemma",
+                                        "support_consequence", "mod2_reduction", "parity_factor"])
+    def test_mutation_hook_hits_only_its_target(self, target):
+        # Index 13 is 3 mod 5, forbidden for the support lemma.
+        results = run_all(order=60, perturbations={target: (13, 7)})
+        assert [r.name for r in results if not r.passed] == [target]
+        (failed,) = (r for r in results if not r.passed)
+        assert failed.first_failure[0] == 13
 
     def test_support_order_can_differ(self):
         results = run_all(order=50, support_order=120)
@@ -224,7 +229,13 @@ class TestRunAll:
         ("mod10", g_series, lambda: check_mod10(50)),
         ("support_lemma", partition_series, lambda: check_support_lemma(50)),
         ("parity_factor", partition_series, lambda: check_parity_factor(50)),
-    ], ids=["run_all", "check_mod10", "check_support_lemma", "check_parity_factor"])
+        ("mod5_reduction", partition_series, lambda: check_mod5_reduction(50)),
+        ("support_consequence", partition_series, lambda: check_support_consequence(50)),
+        ("mod2_reduction", partition_series, lambda: check_mod2_reduction(50)),
+        ("g_identity", partition_series, lambda: run_all(order=50, names=["g_identity"])),
+    ], ids=["run_all", "check_mod10", "check_support_lemma", "check_parity_factor",
+            "check_mod5_reduction", "check_support_consequence", "check_mod2_reduction",
+            "g_identity"])
     def test_short_sweep_rejected(self, monkeypatch, name, built, sweep):
         monkeypatch.setattr(f"qbps.congruence.{built.__name__}", lambda order: built(order - 1))
         with pytest.raises(RuntimeError, match=f"{name} swept order 49"):

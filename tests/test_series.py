@@ -70,6 +70,12 @@ class TestAddSub:
         assert (S(1, 2) + 5).coefficients == (6, 2)
         assert (3 - S(1, 2)).coefficients == (2, -2)
 
+    def test_rsub_names_minus_for_a_foreign_operand(self):
+        with pytest.raises(TypeError, match="for -"):
+            1.5 - S(1, 2)
+        with pytest.raises(TypeError, match="for -"):
+            Fraction(1, 2) - ResidueSeries([1, 2], 5)
+
 
 class TestMul:
     def test_difference_of_squares(self):
@@ -387,6 +393,12 @@ class TestResidueSeries:
         r = ResidueSeries([1, 2, 3], 7)
         assert r.with_coefficient(1, -1).coefficients == (1, 6, 3)
         assert r.truncated(1).coefficients == (1, 2)
+
+    def test_scalar_equality(self):
+        assert ResidueSeries([5, 10], 5) == 0
+        assert ResidueSeries([6, 0], 5) == 1
+        assert ResidueSeries([6, 0], 5) != 2
+        assert ResidueSeries([1, 1], 5) != 1
 
     def test_equality_requires_same_modulus(self):
         assert ResidueSeries([1, 2], 5) != ResidueSeries([1, 2], 7)
