@@ -3,11 +3,14 @@
 Two routes to the same numbers, kept deliberately separate so their agreement
 is a real check and not a tautology:
 
-  * the direct route: the general formulas (a_general, b_general) evaluated
-    literally, term by term, for each class beta_n, with c, g and chi read
-    from NINE_POINT_BLOWUP (a_direct_series, b_direct_series); the splitting
-    sum is one plain tuple per pair (decompositions_for), built from the
-    fiber and section geometry read once per order,
+  * the direct route: the general formulas evaluated for each class beta_n,
+    with c, g and chi read from NINE_POINT_BLOWUP (a_direct_series,
+    b_direct_series).  The splitting sum keeps one term per pair
+    beta_n = lF + beta_k, but by bilinearity of the intersection form each term
+    is a fiber factor in l times a section factor in k; b_direct_series reads a
+    fiber row (one per class degree) and a section row once per order and takes
+    one integer dot product per class.  a_general and b_general over
+    decompositions_for's explicit per-pair tuples remain the reference,
   * closed forms in the partition and divisor-sum series
     (a_closed_series = -P12*G and b_closed_series = (1/10)P12*(7G^2 - G + DG)),
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .series import TruncatedSeries, qd, _normalize
 from .qforms import g_series, p_alpha
@@ -63,52 +67,27 @@ def a_general(data: ClassData):
     return _normalize(Fraction(-data.g, 12) * data.n0)
 
 
+def _b_value(data: ClassData, chi: int, tail):
+    """b(beta) = (1/2880)(12g^2 + gc - 24g) N0 + (1/240) chi N1 + (1/240) tail, exact."""
+    g, c = data.g, data.c
+    head = Fraction(12 * g * g + g * c - 24 * g, 2880) * data.n0
+    middle = Fraction(chi, 240) * data.n1
+    return _normalize(head + middle + Fraction(1, 240) * tail)
+
+
 def b_general(data: ClassData, chi: int, terms):
     """b(beta) from its three-part formula over explicit decomposition terms.
 
     (1/2880)(12g^2 + gc - 24g) N0  +  (1/240) chi N1
       + (1/240) sum C(c-1, c') (beta'.beta'') (beta''.beta'') N1(beta') N0(beta'')
 
-    Each term is a tuple (c', beta'.beta'', beta''.beta'', N1(beta'), N0(beta'')).
+    Each term is a tuple (c', beta'.beta'', beta''.beta'', N1(beta'), N0(beta'')), and
+    each is multiplied out in full: this is the explicit per-pair reference.
     """
-    g, c = data.g, data.c
-    head = Fraction(12 * g * g + g * c - 24 * g, 2880) * data.n0
-    middle = Fraction(chi, 240) * data.n1
-    tail = 0
-    binomials = {}      # C(c-1, c') per distinct c'; c is fixed for the class
-    for c_prime, dot_prime_dprime, dot_dprime_dprime, n1_prime, n0_dprime in terms:
-        if c_prime not in binomials:
-            binomials[c_prime] = _binomial(c - 1, c_prime)
-        # The fiber factor C(c-1, c') (beta'.beta'') N1(beta') goes first, exact and
-        # uncancelled.  On the section classes it is an int, so it is divided out
-        # and the long products with N0 stay in integer arithmetic.
-        numerator = binomials[c_prime] * dot_prime_dprime * n1_prime.numerator
-        factor, rest = divmod(numerator, n1_prime.denominator)
-        if rest:
-            factor = Fraction(numerator, n1_prime.denominator)
-        tail += factor * dot_dprime_dprime * n0_dprime
-    return _normalize(head + middle + Fraction(1, 240) * tail)
-
-
-def _splitting_tables(order: int, n0: TruncatedSeries):
-    """The geometry of every splitting of beta_n, n <= order, read once from NINE_POINT_BLOWUP.
-
-    fibers[l-1] = (lF, c(lF), N1(lF)) for l = 1..order, and
-    sections[k] = (beta_k, beta_k.beta_k, N0(beta_k)) for k = 0..order-1.
-    """
-    surface = NINE_POINT_BLOWUP
-    fibers = [(f := surface.fiber(l), surface.degree(f), n1_fiber(l)) for l in range(1, order + 1)]
-    sections = [(b := surface.beta(k), surface.intersect(b, b), n0.coefficient(k))
-                for k in range(order)]
-    return surface.intersect, fibers, sections
-
-
-def _splittings(n: int, tables) -> list[tuple]:
-    """The terms of beta_n = (n-k)F + beta_k, k = 0..n-1, from _splitting_tables."""
-    intersect, fibers, sections = tables
-    return [(c_prime, intersect(fiber, beta), dot_dprime_dprime, n1_prime, n0_dprime)
-            for (fiber, c_prime, n1_prime), (beta, dot_dprime_dprime, n0_dprime)
-            in zip(reversed(fibers[:n]), sections[:n])]
+    tail = sum(_binomial(data.c - 1, c_prime) * dot_prime_dprime * dot_dprime_dprime
+               * n1_prime * n0_dprime
+               for c_prime, dot_prime_dprime, dot_dprime_dprime, n1_prime, n0_dprime in terms)
+    return _b_value(data, chi, tail)
 
 
 def decompositions_for(n: int, n0: TruncatedSeries) -> list[tuple]:
@@ -120,7 +99,13 @@ def decompositions_for(n: int, n0: TruncatedSeries) -> list[tuple]:
     """
     if n < 0:
         raise ValueError("class index must be non-negative")
-    return _splittings(n, _splitting_tables(n, n0))
+    surface = NINE_POINT_BLOWUP
+    terms = []
+    for k in range(n):
+        fiber, beta = surface.fiber(n - k), surface.beta(k)
+        terms.append((surface.degree(fiber), surface.intersect(fiber, beta),
+                      surface.intersect(beta, beta), n1_fiber(n - k), n0.coefficient(k)))
+    return terms
 
 
 def _class_data(n: int, n0: TruncatedSeries, n1: TruncatedSeries) -> ClassData:
@@ -138,18 +123,36 @@ def a_direct_series(order: int) -> TruncatedSeries:
 
 
 def b_direct_series(order: int) -> TruncatedSeries:
-    """Coefficient n is b_general of beta_n, evaluated literally term by term.
+    """Coefficient n is b(beta_n), its splitting sum one integer dot product per class.
 
-    c, g and chi come from NINE_POINT_BLOWUP, and the splitting sum of each class
-    is decompositions_for's, built from one set of tables for the whole order.
-    Nothing is simplified algebraically, so this path stays independent of the
+    c, g and chi come from NINE_POINT_BLOWUP.  The intersection form is bilinear,
+    so (lF).beta_k = l (F.beta_k), and the term of beta_n = lF + beta_k (l = n-k)
+    is u_l v_k with
+      u_l = C(c-1, c(lF)) l N1(lF)               (the fiber row, one per class degree c),
+      v_k = (F.beta_k) (beta_k.beta_k) N0(beta_k)   (the section row).
+    Both rows are read once per order, and the sum over the n pairs of beta_n is
+    one dot product of u_n..u_1 with v_0..v_{n-1}.  Every term is still summed;
+    nothing is simplified algebraically, so this path stays independent of the
     closed form.
     """
     n0, n1 = n0_series(order), n1_series(order)
-    chi = NINE_POINT_BLOWUP.euler_characteristic
-    tables = _splitting_tables(order, n0)
-    return TruncatedSeries([b_general(_class_data(n, n0, n1), chi, _splittings(n, tables))
-                            for n in range(order + 1)])
+    surface = NINE_POINT_BLOWUP
+    chi = surface.euler_characteristic
+    f = surface.fiber()
+    # Listed l = order..1, so the pairs of beta_n are the last n entries of a fiber row.
+    fibers = [(l, surface.degree(surface.fiber(l)), n1_fiber(l)) for l in range(order, 0, -1)]
+    sections = [surface.intersect(f, beta) * surface.intersect(beta, beta) * n0.coefficient(k)
+                for k, beta in enumerate(map(surface.beta, range(order)))]
+    rows = {}
+    coefficients = []
+    for n in range(order + 1):
+        data = _class_data(n, n0, n1)
+        if data.c not in rows:
+            rows[data.c] = [_normalize(_binomial(data.c - 1, c_prime) * l * n1_prime)
+                            for l, c_prime, n1_prime in fibers]
+        tail = sum(map(mul, rows[data.c][order - n:], sections))
+        coefficients.append(_b_value(data, chi, tail))
+    return TruncatedSeries(coefficients)
 
 
 def _brace(g):

@@ -27,11 +27,15 @@ Coefficient = int | Fraction
 
 
 def _normalize(value) -> Coefficient:
-    """Coerce to an exact coefficient, demoting integral fractions to int."""
+    """Coerce to an exact coefficient, demoting integral fractions (and bools) to int."""
+    # A plain int is by far the common case, and `type(...) is int` is much
+    # cheaper than isinstance against the Fraction ABC.
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return value
+        return int(value)
     raise TypeError(f"exact coefficient required (int or Fraction), got {type(value).__name__}")
 
 

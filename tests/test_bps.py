@@ -7,7 +7,7 @@ import pytest
 from qbps.series import TruncatedSeries, qd
 from qbps.gw import NINE_POINT_BLOWUP, SurfaceContext, n0_series, n1_series
 from qbps.bps import (
-    ClassData,
+    ClassData, _class_data,
     a_general, b_general, decompositions_for,
     a_direct_series, b_direct_series,
     a_closed_series, b_closed_series, b_intermediate_series,
@@ -117,7 +117,7 @@ class TestSeriesRoutes:
         assert b_intermediate_series(8).coefficients == B_HEAD
 
     def test_routes_agree_deeper(self):
-        order = 120
+        order = 1000
         assert a_direct_series(order).coefficients == a_closed_series(order).coefficients
         b_direct = b_direct_series(order).coefficients
         assert b_direct == b_closed_series(order).coefficients
@@ -140,6 +140,33 @@ class TestSeriesRoutes:
             value = b_general(data, chi=surface.euler_characteristic,
                               terms=decompositions_for(n, n0))
             assert value == b_closed.coefficient(n)
+
+    @staticmethod
+    def _per_pair(order):
+        # b_general over the explicit splitting tuples, one class at a time.
+        n0, n1 = n0_series(order), n1_series(order)
+        chi = NINE_POINT_BLOWUP.euler_characteristic
+        return [b_general(_class_data(n, n0, n1), chi, decompositions_for(n, n0))
+                for n in range(order + 1)]
+
+    @staticmethod
+    def _same_values_and_types(left, right):
+        assert list(left) == list(right)
+        assert [type(c) for c in left] == [type(c) for c in right]
+
+    def test_direct_route_is_the_explicit_per_pair_sum(self):
+        order = 300
+        self._same_values_and_types(b_direct_series(order).coefficients, self._per_pair(order))
+
+    def test_direct_route_is_the_per_pair_sum_on_another_surface(self, monkeypatch):
+        # c(beta_n) = 2n + 2 and c(lF) = 2l: binomials other than C(0, 0), one fiber
+        # row per class and Fraction coefficients all occur.
+        monkeypatch.setattr("qbps.bps.NINE_POINT_BLOWUP", SurfaceContext(
+            s_self_intersection=-2, s_dot_f=2, f_self_intersection=2))
+        order = 60
+        direct = b_direct_series(order).coefficients
+        self._same_values_and_types(direct, self._per_pair(order))
+        assert any(isinstance(c, Fraction) for c in direct)
 
     def test_direct_route_reads_the_geometry(self, monkeypatch):
         # chi enters b only through (chi/240) N1, so doubling it adds (1/20) N1.

@@ -44,6 +44,11 @@ class TestConstruction:
         assert isinstance(s.coefficient(0), int)
         assert s.coefficient(1) == Fraction(1, 3)
 
+    def test_bools_demote_to_plain_int(self):
+        s = TruncatedSeries([True, 2, False])
+        assert s.coefficients == (1, 2, 0)
+        assert [type(c) for c in s.coefficients] == [int, int, int]
+
     def test_zero_and_one(self):
         assert TruncatedSeries.zero(3).coefficients == (0, 0, 0, 0)
         assert TruncatedSeries.one(3).coefficients == (1, 0, 0, 0)
