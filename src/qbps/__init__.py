@@ -14,7 +14,7 @@ from .gw import (SurfaceContext, NINE_POINT_BLOWUP, GWTable,
 from .bps import (ClassData, a_general, b_general, decompositions_for,
                   a_direct_series, b_direct_series,
                   a_closed_series, b_closed_series, b_intermediate_series,
-                  brace_series, integrality_audit)
+                  brace_series)
 from .congruence import (CongruenceCheck, CHECK_NAMES,
                          check_mod10, check_mod5_reduction, check_support_lemma,
                          check_support_consequence, check_mod2_reduction,
@@ -31,7 +31,7 @@ __all__ = [
     "ClassData", "a_general", "b_general", "decompositions_for",
     "a_direct_series", "b_direct_series",
     "a_closed_series", "b_closed_series", "b_intermediate_series",
-    "brace_series", "integrality_audit",
+    "brace_series",
     "CongruenceCheck", "CHECK_NAMES",
     "check_mod10", "check_mod5_reduction", "check_support_lemma",
     "check_support_consequence", "check_mod2_reduction", "check_parity_factor",

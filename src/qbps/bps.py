@@ -17,8 +17,8 @@ is a real check and not a tautology:
 plus a third, intermediate rewrite of b that pins the index-shift step of the
 derivation connecting the general formula to the closed form.
 
-The integrality of every coefficient is the conjectural content; it is audited,
-never assumed.
+The integrality of every coefficient is the conjectural content; the
+a_integrality and b_integrality checks of congruence test it, never assume it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ __all__ = [
     "ClassData", "a_general", "b_general", "decompositions_for",
     "a_direct_series", "b_direct_series",
     "a_closed_series", "b_closed_series", "b_intermediate_series",
-    "brace_series", "integrality_audit",
+    "brace_series",
 ]
 
 
@@ -190,8 +190,3 @@ def b_intermediate_series(order: int) -> TruncatedSeries:
             - Fraction(23, 2880) * dp12
             + Fraction(1, 20) * (p12 * qd(g))
             + Fraction(1, 240) * (g * (2 * dp12 - p12)))
-
-
-def integrality_audit(f: TruncatedSeries) -> list[int]:
-    """Indices whose coefficient is not an integer.  Empty means the claim holds."""
-    return [k for k, c in enumerate(f.coefficients) if c.denominator != 1]

@@ -3,8 +3,9 @@
 Conventions: the partition series P carries constant term p(0) = 1, forced by
 the product form prod_{m>=1} (1-q^m)^{-1}; the divisor-sum series G carries
 constant term 0 since sigma(0) is undefined.  P^-1 = prod (1-q^m) is written
-down by Euler's pentagonal number theorem and P is solved from P * P^-1 = 1,
-so nothing here inverts a series; G comes from an independent divisor sieve.
+down by Euler's pentagonal number theorem, and P is its series inverse: forward
+substitution over the O(sqrt N) nonzero coefficients of P^-1.  G comes from an
+independent divisor sieve, never from P.
 """
 
 from __future__ import annotations
@@ -62,17 +63,9 @@ class QFormCatalog:
 
     @property
     def partition(self) -> TruncatedSeries:
-        """P, the partition generating series."""
+        """P, the partition generating series, as the inverse of Euler's P^-1."""
         if self._partition is None:
-            # Forward substitution in P * P^-1 = 1 over the nonzero e_g of
-            # P^-1: p(k) = -sum_g e_g p(k-g), O(sqrt k) terms per coefficient.
-            euler = self.power(-1).coefficients
-            coeffs, support = [1], []
-            for k in range(1, self._order + 1):
-                if euler[k]:
-                    support.append((k, euler[k]))
-                coeffs.append(-sum(e * coeffs[k - g] for g, e in support))
-            self._partition = TruncatedSeries(coeffs)
+            self._partition = self.power(-1).inverse()
         return self._partition
 
     @property

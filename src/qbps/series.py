@@ -10,7 +10,8 @@ Kronecker packing of both operands into decimal digit strings, then a single
 libmpdec multiply (the C library behind the stdlib decimal module, which
 multiplies huge operands by a number-theoretic transform) under a private
 context that traps any rounding.  Exact series enter the kernel as integers
-over a common denominator, and exact inversion is Newton iteration on top of it.
+over a common denominator.  Exact inversion needs no product: it is forward
+substitution over the nonzero coefficients only.
 Arithmetic between series of different truncation orders truncates to the
 smaller order, and equality compares coefficients up to the smaller order.
 """
@@ -132,12 +133,6 @@ class _Series:
 
     __getitem__ = coefficient
 
-    def truncated(self, order: int):
-        """The same series cut down to a smaller truncation order."""
-        if not 0 <= order <= self.order:
-            raise ValueError(f"cannot truncate an order-{self.order} series to order {order}")
-        return self._new(self._coeffs[:order + 1])
-
     def with_coefficient(self, k: int, value):
         """A copy with the coefficient of q^k replaced (for perturbation tests)."""
         if not 0 <= k <= self.order:
@@ -243,16 +238,21 @@ class TruncatedSeries(_Series):
         return out if d == 1 else [Fraction(c, d) for c in out]
 
     def inverse(self) -> TruncatedSeries:
-        """Multiplicative inverse up to the truncation order, by Newton iteration."""
-        if self._coeffs[0] == 0:
+        """Multiplicative inverse up to the truncation order, by forward substitution.
+
+        g_k = -(f_1 g_(k-1) + ... + f_k g_0) / f_0 over the nonzero f_i only; each
+        f_i is scaled by -1/f_0 once, so a unit lead keeps every step in ints.
+        """
+        f = self._coeffs
+        if f[0] == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        g = TruncatedSeries([Fraction(1) / self._coeffs[0]])
-        while g.order < self.order:
-            # g inverts self through q^(g.order), so g (2 - self g) inverts it through q^k.
-            k = min(2 * g.order + 1, self.order)
-            g = TruncatedSeries(g.coefficients + (0,) * (k - g.order))
-            g = g * (2 - self.truncated(k) * g)
-        return g
+        inv0 = _normalize(Fraction(1) / f[0])
+        coeffs, support = [inv0], []
+        for k in range(1, len(f)):
+            if f[k]:
+                support.append((k, _normalize(-inv0 * f[k])))
+            coeffs.append(sum(c * coeffs[k - i] for i, c in support))
+        return TruncatedSeries(coeffs)
 
     def __pow__(self, exponent: int) -> TruncatedSeries:
         if isinstance(exponent, int) and exponent < 0:
@@ -328,17 +328,6 @@ class ResidueSeries(_Series):
     @property
     def modulus(self) -> int:
         return self._modulus
-
-    def first_nonzero(self) -> tuple[int, int] | None:
-        """(index, residue) of the first nonzero coefficient, or None if zero."""
-        for k, c in enumerate(self._coeffs):
-            if c:
-                return k, c
-        return None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.first_nonzero() is None
 
     def __eq__(self, other):
         if isinstance(other, ResidueSeries) and self._modulus != other._modulus:

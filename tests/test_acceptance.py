@@ -15,10 +15,10 @@ from qbps.gw import NINE_POINT_BLOWUP, n0_series, n1_series
 from qbps.bps import (
     ClassData, a_closed_series, a_direct_series,
     b_closed_series, b_direct_series, b_general,
-    brace_series, decompositions_for, integrality_audit,
+    brace_series, decompositions_for,
 )
 from qbps.congruence import (
-    check_mod10, check_mod5_reduction, check_support_lemma,
+    run_all, check_mod10, check_mod5_reduction, check_support_lemma,
     check_support_consequence, check_mod2_reduction, check_parity_factor,
 )
 
@@ -44,10 +44,9 @@ def test_criterion_2_integrality_and_spot_values():
     order = 200
     a = a_closed_series(order)
     b = b_closed_series(order)
-    if integrality_audit(a):
-        failures.append(f"a has fractional coefficients at {integrality_audit(a)[:3]}")
-    if integrality_audit(b):
-        failures.append(f"b has fractional coefficients at {integrality_audit(b)[:3]}")
+    for result in run_all(order=order, names=["a_integrality", "b_integrality"]):
+        if not result.passed:
+            failures.append(f"{result.name}: fractional coefficient at {result.first_failure}")
     for series, index, expected in ((a, 1, -1), (a, 2, -15), (b, 1, 0), (b, 2, 1)):
         got = series.coefficient(index)
         if got != expected:

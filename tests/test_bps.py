@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from qbps.series import TruncatedSeries, qd
+from qbps.series import qd
 from qbps.gw import NINE_POINT_BLOWUP, SurfaceContext, n0_series, n1_series
 from qbps.bps import (
     ClassData, _class_data,
     a_general, b_general, decompositions_for,
     a_direct_series, b_direct_series,
     a_closed_series, b_closed_series, b_intermediate_series,
-    brace_series, integrality_audit,
+    brace_series,
 )
+from qbps.congruence import run_all
 
 # first values, computed independently by hand/script before freezing
 A_HEAD = (0, -1, -15, -130, -845, -4545, -21307, -89810, -347490)
@@ -184,13 +185,7 @@ class TestBrace:
 
 
 class TestIntegrality:
-    def test_audit_flags_fractional_coefficients(self):
-        assert integrality_audit(TruncatedSeries([1, Fraction(1, 2)])) == [1]
-
-    def test_audit_passes_integers(self):
-        assert integrality_audit(TruncatedSeries([0, -3, 7])) == []
-
     def test_both_invariants_integral(self):
-        order = 120
-        assert integrality_audit(a_closed_series(order)) == []
-        assert integrality_audit(b_closed_series(order)) == []
+        results = run_all(order=120, names=["a_integrality", "b_integrality"])
+        assert [(r.name, r.order, r.passed) for r in results] == [
+            ("a_integrality", 120, True), ("b_integrality", 120, True)]

@@ -1,7 +1,10 @@
 """Residue checks: pass sweeps, proof-step witnesses, exact failure reporting."""
 
+from fractions import Fraction
+
 import pytest
 
+from qbps import bps
 from qbps.series import ResidueSeries, qd
 from qbps.qforms import g_series, p_alpha, partition_series
 from qbps.congruence import (
@@ -41,8 +44,7 @@ class TestMod10:
         # 7 - 3 + 12 = 16, residue 6.
         g = g_series(30).reduce_mod(10)
         mutated = 7 * (g * g) - g + 2 * qd(g)
-        assert mutated.first_nonzero() == (1, 1)
-        assert mutated.coefficient(2) == 6
+        assert mutated.coefficients[:3] == (0, 1, 6)
 
 
 class TestMod5Reduction:
@@ -61,10 +63,10 @@ class TestMod5Reduction:
         p2 = partition_series(order).reduce_mod(5) ** 2
         pm2 = p_alpha(-2, order).reduce_mod(5)
         rhs = pm2 * (qd(qd(p2)) - qd(p2))
-        assert rhs.is_zero
+        assert not any(rhs.coefficients)
         g = g_series(order).reduce_mod(5)
         brace = 7 * (g * g) - g + qd(g)
-        assert (brace - 2 * rhs).first_nonzero() is None
+        assert not any((brace - 2 * rhs).coefficients)
 
 
 class TestSupportLemma:
@@ -145,6 +147,24 @@ class TestFailureReporting:
         result = check_parity_factor(40, perturbation=(33, 5))
         assert not result.passed
         assert result.first_failure == (33, expected + 5)
+
+    def test_exact_rows_report_the_fractional_coefficient(self, monkeypatch):
+        # A closed form off by 1/2 at q^3 is fractional there, and so is its
+        # difference from the direct route.
+        order = 30
+
+        def off_by_half(closed):
+            return lambda n: closed(n).with_coefficient(3, closed(n)[3] + Fraction(1, 2))
+
+        monkeypatch.setattr("qbps.congruence.a_closed_series", off_by_half(bps.a_closed_series))
+        monkeypatch.setattr("qbps.congruence.b_closed_series", off_by_half(bps.b_closed_series))
+        a3 = bps.a_closed_series(order)[3] + Fraction(1, 2)
+        b3 = bps.b_closed_series(order)[3] + Fraction(1, 2)
+        results = run_all(order=order, names=["a_routes", "b_routes",
+                                              "a_integrality", "b_integrality"])
+        assert {r.name: r.first_failure for r in results} == {
+            "a_routes": (3, Fraction(-1, 2)), "b_routes": (3, Fraction(-1, 2)),
+            "a_integrality": (3, a3), "b_integrality": (3, b3)}
 
     def test_unperturbed_prefix_stays_clean(self):
         # damage deep, scan reports nothing earlier

@@ -1,5 +1,6 @@
 """Divisor sums, partition series, powers: values against brute-force counting."""
 
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -130,13 +131,17 @@ class TestCatalog:
         with pytest.raises(ValueError):
             QFormCatalog(-1)
 
-    def test_nothing_is_inverted(self, monkeypatch):
-        def no_inverse(self):
-            raise AssertionError("the catalog inverted a series")
+    def test_inversion_takes_no_product(self, monkeypatch):
+        def no_product(a, b):
+            raise AssertionError("inversion multiplied two series")
 
-        monkeypatch.setattr(TruncatedSeries, "inverse", no_inverse)
         cat = QFormCatalog(300)
-        p, p_inv = cat.partition, cat.power(-1)
+        f = TruncatedSeries([Fraction(2, 3), 5, -1, Fraction(7, 11)])
+        with monkeypatch.context() as patch:
+            patch.setattr("qbps.series._convolution", no_product)
+            p, f_inv = cat.partition, f.inverse()
+        p_inv = cat.power(-1)
+        assert f * f_inv == 1
         assert cat.power(-2) == p_inv * p_inv
         assert cat.power(12).order == 300
         assert p * p_inv == 1

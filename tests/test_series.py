@@ -175,6 +175,12 @@ class TestInverse:
         f = S(Fraction(2, 3), 5, -1, Fraction(7, 11))
         assert f * f.inverse() == 1
 
+    def test_sparse_series_with_non_unit_lead(self):
+        # 1 / (2 - q^3) = (1/2) sum_j (q^3 / 2)^j, exact in Fractions.
+        inv = S(2, 0, 0, -1, 0, 0, 0).inverse()
+        assert inv.coefficients == (Fraction(1, 2), 0, 0, Fraction(1, 4), 0, 0, Fraction(1, 8))
+        assert [type(c) for c in inv.coefficients] == [Fraction, int, int] * 2 + [Fraction]
+
     def test_partition_inverse_is_pentagonal(self, oracle):
         assert partition_series(600).inverse().coefficients == tuple(oracle.pentagonal(600))
         assert p_alpha(-1, 600).coefficients == tuple(oracle.pentagonal(600))
@@ -238,12 +244,6 @@ class TestCoefficientAccess:
             S(1, 2).coefficient(5)
         with pytest.raises(IndexError):
             S(1, 2)[-1]
-
-    def test_truncated(self):
-        t = S(1, 2, 3, 4).truncated(1)
-        assert t.coefficients == (1, 2)
-        with pytest.raises(ValueError):
-            S(1, 2).truncated(9)
 
     def test_with_coefficient(self):
         f = S(1, 2, 3)
@@ -389,15 +389,9 @@ class TestResidueSeries:
         r = ResidueSeries([4, 1, 1, 1], 3)
         assert qd(r).coefficients == (0, 1, 2, 0)
 
-    def test_first_nonzero(self):
-        assert ResidueSeries([0, 0, 2], 5).first_nonzero() == (2, 2)
-        assert ResidueSeries([0, 0, 0], 5).first_nonzero() is None
-        assert ResidueSeries([0, 0, 0], 5).is_zero
-
-    def test_with_coefficient_and_truncated(self):
+    def test_with_coefficient(self):
         r = ResidueSeries([1, 2, 3], 7)
         assert r.with_coefficient(1, -1).coefficients == (1, 6, 3)
-        assert r.truncated(1).coefficients == (1, 2)
 
     def test_scalar_equality(self):
         assert ResidueSeries([5, 10], 5) == 0
