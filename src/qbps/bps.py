@@ -42,7 +42,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClassData:
-    """Per-class inputs: degree c(beta) > 0, genus, and the two curve counts."""
+    """Per-class inputs: degree c(beta) > 0, genus, and the two curve counts.
+
+    a(beta) reads n0 only, so a_direct_series leaves n1 as None.
+    """
 
     c: int
     g: int
@@ -108,18 +111,21 @@ def decompositions_for(n: int, n0: TruncatedSeries) -> list[tuple]:
     return terms
 
 
-def _class_data(n: int, n0: TruncatedSeries, n1: TruncatedSeries) -> ClassData:
-    """The inputs of beta_n: c and g from NINE_POINT_BLOWUP, the counts from n0, n1."""
+def _class_data(n: int, n0: TruncatedSeries, n1: TruncatedSeries | None = None) -> ClassData:
+    """The inputs of beta_n: c and g from NINE_POINT_BLOWUP, the counts from n0, n1.
+
+    Without an n1 series the genus-1 count is left as None.
+    """
     surface = NINE_POINT_BLOWUP
     beta = surface.beta(n)
-    return ClassData(c=surface.degree(beta), g=surface.genus(beta),
-                     n0=n0.coefficient(n), n1=n1.coefficient(n))
+    return ClassData(c=surface.degree(beta), g=surface.genus(beta), n0=n0.coefficient(n),
+                     n1=None if n1 is None else n1.coefficient(n))
 
 
 def a_direct_series(order: int) -> TruncatedSeries:
-    """Coefficient n is a_general of beta_n, straight from the count tables."""
-    n0, n1 = n0_series(order), n1_series(order)
-    return TruncatedSeries([a_general(_class_data(n, n0, n1)) for n in range(order + 1)])
+    """Coefficient n is a_general of beta_n, straight from the genus-0 count table."""
+    n0 = n0_series(order)
+    return TruncatedSeries([a_general(_class_data(n, n0)) for n in range(order + 1)])
 
 
 def b_direct_series(order: int) -> TruncatedSeries:

@@ -4,8 +4,10 @@ Conventions: the partition series P carries constant term p(0) = 1, forced by
 the product form prod_{m>=1} (1-q^m)^{-1}; the divisor-sum series G carries
 constant term 0 since sigma(0) is undefined.  P^-1 = prod (1-q^m) is written
 down by Euler's pentagonal number theorem, and P is its series inverse: forward
-substitution over the O(sqrt N) nonzero coefficients of P^-1.  G comes from an
-independent divisor sieve, never from P.
+substitution over the O(sqrt N) nonzero coefficients of P^-1, all +-1, in blocks
+of isqrt(N+1) coefficients.  A pentagonal term at least one block back is added
+to or subtracted from a whole block as one slice; the few nearer terms are summed
+per coefficient.  G comes from an independent divisor sieve, never from P.
 """
 
 from __future__ import annotations

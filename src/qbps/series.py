@@ -6,12 +6,15 @@ deliberately rejected: everything downstream asserts exact integrality and
 congruence identities, which rounding would silently destroy.
 
 Both coefficient domains share one truncated-ring core and one product kernel:
-Kronecker packing of both operands into decimal digit strings, then a single
-libmpdec multiply (the C library behind the stdlib decimal module, which
-multiplies huge operands by a number-theoretic transform) under a private
-context that traps any rounding.  Exact series enter the kernel as integers
-over a common denominator.  Exact inversion needs no product: it is forward
-substitution over the nonzero coefficients only.
+Kronecker packing of both operands into decimal digit strings, with slots as
+wide as a tight bound on the low product coefficients (one prefix maximum and
+one dot product), then a single libmpdec multiply (the C library behind the
+stdlib decimal module, which multiplies huge operands by a number-theoretic
+transform) under a private context that traps any rounding.  Exact series
+enter the kernel as integers over a common denominator.  Exact inversion needs
+no product: it is forward substitution over the nonzero coefficients only,
+blocked so that each term far enough back is added to a whole block of output
+coefficients as one slice.
 Arithmetic between series of different truncation orders truncates to the
 smaller order, and equality compares coefficients up to the smaller order.
 """
@@ -21,6 +24,8 @@ from __future__ import annotations
 import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 
 __all__ = ["TruncatedSeries", "ResidueSeries", "qd"]
 
@@ -59,15 +64,22 @@ def _convolution(a, b) -> list[int]:
     Kronecker substitution in base 10: each sequence is packed into fixed-width
     decimal slots of one digit string, read as one Decimal, and a single libmpdec
     multiply of the two under the private trapping context _EXACT gives the
-    result in its low len slots.  A slot holds len * max|a| * max|b|, which bounds
-    each operand and every low product coefficient, with room for a sign: a value
-    sits offset by half the slot range.  Values cross between int and digits only
-    through Decimal, never str(int) or int(str), so slots past the int/str digit
-    limit stay exact.
+    result in its low len slots.  A slot is sized from the tight bound
+    max(sum_i |a_i| max_(j<=len-1-i) |b_j|, max|a|, max|b|), which bounds each
+    operand and every low product coefficient, with room for a sign: a value
+    sits offset by half the slot range.  For growing series like P^alpha the
+    bound is the largest product coefficient itself.  A high slot may overflow,
+    but the high half is a multiple of 10^(len*width) and never reaches the low
+    digits that are read.  Values cross between int and digits only through
+    Decimal, never str(int) or int(str), so slots past the int/str digit limit
+    stay exact.
     """
     length = len(a)
-    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + length.bit_length()
-    width = bits * 30103 // 100000 + 2      # 10^(width-1) > 2^bits, as log10(2) < 0.30103
+    # The low product coefficient of q^k is sum_(i<=k) a_i b_(k-i), so it is at
+    # most sum_i |a_i| max_(j<=len-1-i) |b_j|: one dot product with a prefix maximum.
+    reach = list(accumulate(map(abs, b), max))
+    bound = max(sum(map(mul, map(abs, a), reversed(reach))), max(map(abs, a)), reach[-1])
+    width = bound.bit_length() * 30103 // 100000 + 2    # 10^(width-1) > 2^bit_length > bound
     half = 5 * 10 ** (width - 1)
     span = length * width
     bias = _EXACT.create_decimal(("5" + "0" * (width - 1)) * length)
@@ -238,21 +250,43 @@ class TruncatedSeries(_Series):
         return out if d == 1 else [Fraction(c, d) for c in out]
 
     def inverse(self) -> TruncatedSeries:
-        """Multiplicative inverse up to the truncation order, by forward substitution.
+        """Multiplicative inverse up to the truncation order, by blocked forward substitution.
 
         g_k = -(f_1 g_(k-1) + ... + f_k g_0) / f_0 over the nonzero f_i only; each
-        f_i is scaled by -1/f_0 once, so a unit lead keeps every step in ints.
+        f_i is scaled by -1/f_0 once, so a unit lead keeps every step in ints.  The
+        g_k are produced in blocks of isqrt(len) coefficients.  A term c f_i with i
+        at least the block length reads only coefficients final before the block
+        starts, so it enters the block's accumulator as one slice: added for c = 1,
+        subtracted for c = -1, scaled then added otherwise.  Only the terms with i
+        below the block length are summed coefficient by coefficient.
         """
         f = self._coeffs
         if f[0] == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
         inv0 = _normalize(Fraction(1) / f[0])
-        coeffs, support = [inv0], []
-        for k in range(1, len(f)):
-            if f[k]:
-                support.append((k, _normalize(-inv0 * f[k])))
-            coeffs.append(sum(c * coeffs[k - i] for i, c in support))
-        return TruncatedSeries(coeffs)
+        step = math.isqrt(len(f))
+        support = [(i, _normalize(-inv0 * c)) for i, c in enumerate(f) if i and c]
+        near = [(i, c) for i, c in support if i < step]
+        far = [(i, c) for i, c in support if i >= step]
+        # g[step + k] holds g_k, and the step zeros in front stand for g_k at k < 0,
+        # so every window below is a full slice.
+        g = [0] * step + [inv0]
+        for lo in range(1, len(f), step):
+            hi = min(lo + step, len(f))       # this block is g_lo .. g_(hi-1)
+            block = [0] * (hi - lo)
+            for i, c in far:
+                if i >= hi:
+                    break
+                window = g[step + lo - i:step + hi - i]     # g_(lo-i) .. g_(hi-1-i), all final
+                if c == 1:
+                    block = list(map(add, block, window))
+                elif c == -1:
+                    block = list(map(sub, block, window))
+                else:
+                    block = list(map(add, block, map(mul, repeat(c), window)))
+            for pos, partial in enumerate(block, step + lo):
+                g.append(partial + sum(c * g[pos - i] for i, c in near))
+        return TruncatedSeries(g[step:])
 
     def __pow__(self, exponent: int) -> TruncatedSeries:
         if isinstance(exponent, int) and exponent < 0:

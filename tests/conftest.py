@@ -5,6 +5,7 @@ count and enumerate directly, so agreement between the two is evidence rather
 than tautology.
 """
 
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -43,6 +44,20 @@ def convolve(a, b):
     return out
 
 
+def invert(f):
+    """Coefficients of 1/f through the length of f: solve f * g = 1 one coefficient
+    at a time, g_k = ([k == 0] - f_1 g_(k-1) - ... - f_k g_0) / f_0, every term of the
+    dense double loop written out, zeros included.  An integral g_k is kept as an int."""
+    g = []
+    for k in range(len(f)):
+        rest = int(k == 0)
+        for j in range(1, k + 1):
+            rest -= f[j] * g[k - j]
+        quotient = Fraction(rest) / f[0]
+        g.append(quotient.numerator if quotient.denominator == 1 else quotient)
+    return g
+
+
 def pentagonal(n: int) -> list[int]:
     """Coefficients through q^n of prod (1 - q^m), by Euler's pentagonal number
     theorem: (-1)^j at the generalized pentagonal numbers j(3j -+ 1)/2, else 0."""
@@ -62,6 +77,7 @@ def oracle():
         partition_count = staticmethod(partition_count)
         divisor_sum = staticmethod(divisor_sum_naive)
         convolve = staticmethod(convolve)
+        invert = staticmethod(invert)
         pentagonal = staticmethod(pentagonal)
 
     return Oracle

@@ -124,6 +124,13 @@ class TestSeriesRoutes:
         assert b_direct == b_closed_series(order).coefficients
         assert b_direct == b_intermediate_series(order).coefficients
 
+    def test_a_direct_reads_no_genus_one_counts(self, monkeypatch):
+        # a(beta) needs N0 only, so the direct route builds no N1 = P^12 * DG.
+        def refuse(order):
+            raise AssertionError("a_direct_series built n1_series")
+        monkeypatch.setattr("qbps.bps.n1_series", refuse)
+        assert a_direct_series(8).coefficients == A_HEAD
+
     def test_a_direct_is_scaled_derivative_of_counts(self):
         order = 60
         assert a_direct_series(order) == Fraction(-1, 12) * qd(n0_series(order))

@@ -3,11 +3,12 @@
 import decimal
 import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import convolve
+from conftest import convolve, invert
 from qbps.qforms import p_alpha, partition_series
 from qbps.series import TruncatedSeries, ResidueSeries, qd
 
@@ -158,6 +159,35 @@ class TestKernel:
             assert (TruncatedSeries(x) * TruncatedSeries(y)).coefficients == tuple(
                 oracle.convolve(x, y))
 
+    def test_slot_bound_edges(self, oracle):
+        # The slot is sized from max(sum_i |a_i| max_(j<=len-1-i) |b_j|, max|a|, max|b|).
+        zero, huge = [0] * 6, [10 ** 80, -(10 ** 75), 3, 0, -(10 ** 90), 1]
+        # |b| peaks early and then falls, so its prefix maximum is not its last
+        # value, and the high slots of the full product exceed the low ones.
+        mixed_a = [7, -(10 ** 40), 2, -3, 10 ** 41, -1, 5, 0, -8, 1]
+        mixed_b = [-2, 10 ** 50, -(10 ** 49), 6, -1, 0, 1, -4, 1, 1]
+        cases = [
+            # every product is 0, but the slot must still hold the huge operand
+            (zero, huge), (huge, zero),
+            # the only nonzero products land past the low slots: the bound is an operand
+            ([0, 0, 0, 10 ** 60], [0, 0, 0, 1]), ([0, 0, 0, 1], [0, 0, 0, -(10 ** 60)]),
+            ([0, 0, 10 ** 60, -(10 ** 60)], [0, 0, 1, 1]),
+            (mixed_a, mixed_b), (mixed_b, mixed_a), (mixed_b, mixed_b),
+        ]
+        for a, b in cases:
+            assert (TruncatedSeries(a) * TruncatedSeries(b)).coefficients == tuple(
+                oracle.convolve(a, b))
+
+    def test_p8_times_p4_at_order_2000(self, oracle):
+        # Nondecreasing operands: the bound is the largest coefficient of P^12 itself.
+        p8, p4 = p_alpha(8, 2000), p_alpha(4, 2000)
+        assert (p8 * p4).coefficients == tuple(oracle.convolve(p8.coefficients, p4.coefficients))
+
+    def test_residue_square_mod_10(self, oracle):
+        r = [(k * k + 7 * k + 9) % 10 for k in range(500)]
+        f = ResidueSeries(r, 10)
+        assert (f * f).coefficients == tuple(c % 10 for c in oracle.convolve(r, r))
+
 
 class TestInverse:
     def test_geometric_series(self):
@@ -184,6 +214,11 @@ class TestInverse:
     def test_partition_inverse_is_pentagonal(self, oracle):
         assert partition_series(600).inverse().coefficients == tuple(oracle.pentagonal(600))
         assert p_alpha(-1, 600).coefficients == tuple(oracle.pentagonal(600))
+
+    def test_p_10000_is_the_published_value(self):
+        assert partition_series(10000).coefficient(10000) == int(
+            "36167251325636293988820471890953695495016030339315650422081868605887"
+            "952568754066420592310556052906916435144")
 
 
 class TestPow:
@@ -312,6 +347,46 @@ def test_product_matches_naive_convolution(f, g):
 @given(f=UNITS)
 def test_inversion_round_trip(f):
     assert f * f.inverse() == 1
+
+
+@st.composite
+def inverse_inputs(draw):
+    """A unit series whose support straddles the inverter's block edges.
+
+    Blocks are isqrt(order + 1) coefficients long, so a support index just below,
+    at and just above each multiple of that length lands on both sides of an edge.
+    Sparse supports reach order 300; dense ones stop at 100, where a non-unit lead
+    already gives coefficients of a hundred digits.
+    """
+    dense = draw(st.booleans())
+    order = draw(st.one_of(st.integers(0, 3), st.integers(4, 100 if dense else 300)))
+    step = isqrt(order + 1)
+    if dense:
+        values = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9))
+        indices = range(1, order + 1)
+    else:
+        values = st.one_of(st.sampled_from([1, -1]), st.integers(-10 ** 6, 10 ** 6),
+                           st.fractions(min_value=-5, max_value=5, max_denominator=7))
+        edges = sorted({j for m in range(1, order // step + 2) for j in (m * step - 1,
+                        m * step, m * step + 1) if 1 <= j <= order})
+        indices = draw(st.sets(st.one_of(st.sampled_from(edges), st.integers(1, order)),
+                               max_size=25)) if order else ()
+    coeffs = [0] * (order + 1)
+    coeffs[0] = draw(st.one_of(st.sampled_from([1, -1, 2, -3]),
+                               st.fractions(min_value=-4, max_value=4, max_denominator=5)
+                               .filter(lambda c: c != 0)))
+    for i in indices:
+        coeffs[i] = draw(values)
+    return TruncatedSeries(coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=inverse_inputs())
+def test_inverse_matches_the_dense_oracle(f):
+    inv = f.inverse().coefficients
+    assert inv == tuple(invert(f.coefficients))
+    assert [type(c) for c in inv] == [int if Fraction(c).denominator == 1 else Fraction
+                                      for c in inv]
 
 
 @settings(max_examples=100, deadline=None)
