@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import mul
 
 from .series import TruncatedSeries, qd, _normalize
-from .qforms import g_series, p_alpha
+from .qforms import catalog_for, g_series, p_alpha
 from .gw import NINE_POINT_BLOWUP, n0_series, n1_series, n1_fiber
 
 __all__ = [
@@ -71,11 +71,13 @@ def a_general(data: ClassData):
 
 
 def _b_value(data: ClassData, chi: int, tail):
-    """b(beta) = (1/2880)(12g^2 + gc - 24g) N0 + (1/240) chi N1 + (1/240) tail, exact."""
+    """b(beta) = (1/2880)((12g^2 + gc - 24g) N0 + 12 chi N1 + 12 tail), exact.
+
+    The counts and the tail may be ints or Fractions; the sum is divided once.
+    """
     g, c = data.g, data.c
-    head = Fraction(12 * g * g + g * c - 24 * g, 2880) * data.n0
-    middle = Fraction(chi, 240) * data.n1
-    return _normalize(head + middle + Fraction(1, 240) * tail)
+    numerator = (12 * g * g + g * c - 24 * g) * data.n0 + 12 * chi * data.n1 + 12 * tail
+    return _normalize(Fraction(numerator, 2880))
 
 
 def b_general(data: ClassData, chi: int, terms):
@@ -166,19 +168,23 @@ def _brace(g):
     return 7 * (g * g) - g + qd(g)
 
 
+# The brace and the closed forms are built once per order, on the order's
+# catalog: several checks scan each of them.
 def brace_series(order: int) -> TruncatedSeries:
     """7G^2 - G + DG, the factor whose coefficients are all divisible by 10."""
-    return _brace(g_series(order))
+    return catalog_for(order).derived("brace", lambda: _brace(g_series(order)))
 
 
 def a_closed_series(order: int) -> TruncatedSeries:
     """Closed form -P12 * G."""
-    return -(p_alpha(12, order) * g_series(order))
+    return catalog_for(order).derived(
+        "a_closed", lambda: -(p_alpha(12, order) * g_series(order)))
 
 
 def b_closed_series(order: int) -> TruncatedSeries:
     """Closed form (1/10) P12 (7G^2 - G + DG)."""
-    return Fraction(1, 10) * (p_alpha(12, order) * brace_series(order))
+    return catalog_for(order).derived(
+        "b_closed", lambda: Fraction(1, 10) * (p_alpha(12, order) * brace_series(order)))
 
 
 def b_intermediate_series(order: int) -> TruncatedSeries:
@@ -186,13 +192,14 @@ def b_intermediate_series(order: int) -> TruncatedSeries:
 
     (1/240) D^2 P12 - (23/2880) D P12 + (1/20) P12 DG + (1/240) G (2 D P12 - P12)
 
-    The last summand is where the splitting sum turns into a convolution after
-    reindexing; evaluating it separately pins that step.
+    formed as integer numerators over 2880 and divided once.  The last summand
+    is where the splitting sum turns into a convolution after reindexing;
+    evaluating it separately pins that step.  P12 DG is n1_series, the product
+    b_direct_series also reads: b_routes checks that route against the closed
+    form, so sharing N1 leaves b_intermediate two independent sources.
     """
     p12 = p_alpha(12, order)
-    g = g_series(order)
     dp12 = qd(p12)
-    return (Fraction(1, 240) * qd(dp12)
-            - Fraction(23, 2880) * dp12
-            + Fraction(1, 20) * (p12 * qd(g))
-            + Fraction(1, 240) * (g * (2 * dp12 - p12)))
+    numerators = (12 * qd(dp12) - 23 * dp12 + 144 * n1_series(order)
+                  + 12 * (g_series(order) * (2 * dp12 - p12)))
+    return Fraction(1, 2880) * numerators

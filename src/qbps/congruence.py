@@ -42,8 +42,9 @@ __all__ = [
     "run_all", "DEFAULT_COMPOSITE_ORDER", "DEFAULT_SUPPORT_ORDER",
 ]
 
-# Recommended sweep depths for a bare run_all(), which then takes seconds,
-# mostly in b_routes' exact products.  Callers (and the CLI) can pass anything.
+# Recommended sweep depths for a bare run_all(), which then takes well under a
+# second, mostly in b_direct_series' dot products and the exact P at order
+# 10^4 for the support lemma.  Callers (and the CLI) can pass anything.
 DEFAULT_COMPOSITE_ORDER = 1000
 DEFAULT_SUPPORT_ORDER = 10000
 
@@ -122,8 +123,10 @@ def _g_identity(order: int):
 
 
 def _p12_identity(order: int):
-    p12 = p_alpha(12, order)
-    return qd(p12) - 12 * (p12 * g_series(order)), _nonzero
+    # D(P^12) - 12 P^12 G, with the product P^12 G read from A = -P^12 G.
+    # P^12 itself comes from repeated squaring of P, never from this
+    # recurrence, and a_routes checks A against the direct route.
+    return qd(p_alpha(12, order)) + 12 * a_closed_series(order), _nonzero
 
 
 # name -> (modulus, build), run in this order.  modulus None marks an exact

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import TruncatedSeries, qd, _normalize
-from .qforms import g_series, p_alpha, sigma
+from .qforms import catalog_for, g_series, p_alpha, sigma
 
 __all__ = [
     "SurfaceContext", "NINE_POINT_BLOWUP", "GWTable",
@@ -87,8 +87,11 @@ def n0_series(order: int) -> TruncatedSeries:
 
 
 def n1_series(order: int) -> TruncatedSeries:
-    """Genus-1 counts: P^12 times DG.  Coefficient 0 vanishes."""
-    return p_alpha(12, order) * qd(g_series(order))
+    """Genus-1 counts: P^12 times DG, built once per order.  Coefficient 0 vanishes.
+
+    b_direct_series and b_intermediate_series both read this one product.
+    """
+    return catalog_for(order).derived("n1", lambda: p_alpha(12, order) * qd(g_series(order)))
 
 
 def n1_fiber(l: int):

@@ -45,37 +45,41 @@ def _sigma_table(order: int) -> list[int]:
 
 
 class QFormCatalog:
-    """Lazily built, per-order cache of P, G, and integer powers of P.
+    """Lazily built, per-order cache of P, G, the integer powers of P, and the
+    series composed from them.
 
     All series share the catalog's truncation order, so formulas composed from
-    catalog members never silently truncate shorter than expected.
+    catalog members never silently truncate shorter than expected.  Each member
+    is built once, by derived(): bps keeps A, B and the brace here, and gw keeps
+    N1 = P^12 DG, so every check at one order reads one object.  A shared series
+    is one input; each check still compares two sources built different ways.
     """
 
     def __init__(self, order: int):
         if order < 0:
             raise ValueError("truncation order must be non-negative")
         self._order = order
-        self._partition = None
-        self._divisor = None
-        self._powers: dict[int, TruncatedSeries] = {}
+        self._series: dict = {}
 
     @property
     def order(self) -> int:
         return self._order
 
+    def derived(self, key, build) -> TruncatedSeries:
+        """build(), called at most once per catalog; later calls with key return its result."""
+        if key not in self._series:
+            self._series[key] = build()
+        return self._series[key]
+
     @property
     def partition(self) -> TruncatedSeries:
         """P, the partition generating series, as the inverse of Euler's P^-1."""
-        if self._partition is None:
-            self._partition = self.power(-1).inverse()
-        return self._partition
+        return self.derived("partition", lambda: self.power(-1).inverse())
 
     @property
     def divisor_sum(self) -> TruncatedSeries:
         """G, the divisor-sum generating series (constant term 0)."""
-        if self._divisor is None:
-            self._divisor = TruncatedSeries(_sigma_table(self._order))
-        return self._divisor
+        return self.derived("divisor_sum", lambda: TruncatedSeries(_sigma_table(self._order)))
 
     def power(self, alpha: int) -> TruncatedSeries:
         """P^alpha at the catalog order, cached per exponent.
@@ -83,19 +87,19 @@ class QFormCatalog:
         P^-1 is Euler's pentagonal series; every other negative power is a
         power of it, and every non-negative power is a power of P.
         """
-        if alpha not in self._powers:
-            if alpha == -1:
-                # prod (1-q^m) = sum_{j in Z} (-1)^j q^{j(3j-1)/2}.
-                coeffs = [0] * (self._order + 1)
-                for j in range(-isqrt(self._order), isqrt(self._order) + 1):
-                    if (g := j * (3 * j - 1) // 2) <= self._order:
-                        coeffs[g] = -1 if j % 2 else 1
-                self._powers[alpha] = TruncatedSeries(coeffs)
-            elif alpha < -1:
-                self._powers[alpha] = self.power(-1) ** -alpha
-            else:
-                self._powers[alpha] = self.partition ** alpha
-        return self._powers[alpha]
+        if alpha == -1:
+            return self.derived(alpha, self._pentagonal)
+        if alpha < -1:
+            return self.derived(alpha, lambda: self.power(-1) ** -alpha)
+        return self.derived(alpha, lambda: self.partition ** alpha)
+
+    def _pentagonal(self) -> TruncatedSeries:
+        # prod (1-q^m) = sum_{j in Z} (-1)^j q^{j(3j-1)/2}.
+        coeffs = [0] * (self._order + 1)
+        for j in range(-isqrt(self._order), isqrt(self._order) + 1):
+            if (g := j * (3 * j - 1) // 2) <= self._order:
+                coeffs[g] = -1 if j % 2 else 1
+        return TruncatedSeries(coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -81,3 +81,19 @@ def oracle():
         pentagonal = staticmethod(pentagonal)
 
     return Oracle
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The operand length of every exact series product made while the test runs."""
+    from qbps.series import TruncatedSeries
+
+    lengths = []
+    product = TruncatedSeries._product
+
+    def counted(a, b):
+        lengths.append(len(a))
+        return product(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "_product", staticmethod(counted))
+    return lengths

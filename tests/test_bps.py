@@ -183,6 +183,22 @@ class TestSeriesRoutes:
         assert b_direct_series(order) == b_closed_series(order) + Fraction(1, 20) * n1_series(order)
 
 
+class TestSharing:
+    @pytest.mark.parametrize("build", [a_closed_series, b_closed_series, brace_series,
+                                       n1_series])
+    def test_built_once_per_order(self, build):
+        assert build(40) is build(40)
+        assert build(40).order == 40
+
+    def test_b_intermediate_reads_the_genus_one_product(self, products):
+        # With N1 = P^12 DG built, b_intermediate's one product is G (2 D P12 - P12).
+        order = 41
+        n1_series(order)
+        products.clear()
+        assert b_intermediate_series(order).coefficients[:9] == B_HEAD
+        assert products == [order + 1]
+
+
 class TestBrace:
     def test_head(self):
         assert brace_series(5).coefficients == (0, 0, 10, 50, 140, 290)

@@ -6,7 +6,7 @@ import pytest
 
 from qbps import bps
 from qbps.series import ResidueSeries, qd
-from qbps.qforms import g_series, p_alpha, partition_series
+from qbps.qforms import catalog_for, g_series, p_alpha, partition_series
 from qbps.congruence import (
     CongruenceCheck, CHECK_NAMES,
     check_mod10, check_mod5_reduction, check_support_lemma,
@@ -260,6 +260,14 @@ class TestRunAll:
         monkeypatch.setattr(f"qbps.congruence.{built.__name__}", lambda order: built(order - 1))
         with pytest.raises(RuntimeError, match=f"{name} swept order 49"):
             sweep()
+
+    def test_one_run_takes_eleven_products(self, products):
+        # P^12 (4) and P^-2 (1), then one each: G*G and P^12 times the brace for B,
+        # P^12*G for A (p12_identity reads it too), P^12*DG for N1, G*(2DP12 - P12)
+        # in b_intermediate, and P^-1*DP in g_identity.
+        catalog_for.cache_clear()
+        assert all(r.passed for r in run_all(order=50))
+        assert len(products) == 11
 
     def test_default_depth_constants(self):
         assert DEFAULT_COMPOSITE_ORDER == 1000

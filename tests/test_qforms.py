@@ -127,6 +127,17 @@ class TestCatalog:
         cat = QFormCatalog(6)
         assert cat.power(12) is cat.power(12)
 
+    def test_derived_series_built_once(self):
+        cat = QFormCatalog(6)
+        builds = []
+
+        def build():
+            builds.append(None)
+            return cat.partition * cat.divisor_sum
+
+        assert cat.derived("pg", build) is cat.derived("pg", build)
+        assert len(builds) == 1
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             QFormCatalog(-1)
