@@ -10,6 +10,12 @@ The composite claim factors through independent mod-5 and mod-2 routes:
   mod 2: the brace reduces to P_{-1} (D^2 + D) P, whose k-th coefficient
          k(k+1)p(k) is even as a product of consecutive integers.
 
+P^alpha mod m comes from the catalog, p_alpha_mod, built in Z/m: Euler's
+pentagonal P^-1 reduced mod m, its residue inverse for P, and powers of those
+two.  No residue row builds exact P, and none builds P mod 5 from Frobenius,
+(P mod 5)^5 = P(q^5), the support lemma's own proof mechanism.  parity_factor
+alone keeps exact P, since it pins the exact value k(k+1)p(k).
+
 Alongside the residue checks, run_all replays the exact-arithmetic facts the
 proof leans on: route equalities for a and b, their integrality, and the
 logarithmic-derivative identities feeding the closed forms.
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .series import qd
-from .qforms import g_series, p_alpha, partition_series
+from .qforms import g_series, p_alpha, p_alpha_mod, partition_series
 from .bps import (
     _brace, a_closed_series, a_direct_series,
     b_closed_series, b_direct_series, b_intermediate_series,
@@ -43,8 +49,9 @@ __all__ = [
 ]
 
 # Recommended sweep depths for a bare run_all(), which then takes well under a
-# second, mostly in b_direct_series' dot products and the exact P at order
-# 10^4 for the support lemma.  Callers (and the CLI) can pass anything.
+# second, mostly in b_direct_series' dot products.  The support lemma at order
+# 10^4 reads P^2 mod 5 built in Z/m, about 0.07 s; it needs no exact P.
+# Callers (and the CLI) can pass anything.
 DEFAULT_COMPOSITE_ORDER = 1000
 DEFAULT_SUPPORT_ORDER = 10000
 
@@ -85,27 +92,22 @@ def _fractional(k, c):
     return c if c.denominator != 1 else None
 
 
-def _p2_mod5(order: int):
-    """P_2 mod 5, reduced before squaring."""
-    return partition_series(order).reduce_mod(5) ** 2
-
-
 def _p2_mod5_operator(order: int):
     """(D^2 - D) P_2 mod 5."""
-    p2 = _p2_mod5(order)
+    p2 = p_alpha_mod(2, order, 5)
     return qd(qd(p2)) - qd(p2)
 
 
 def _mod5_reduction(order: int):
     # The right side comes from P and P^-2 alone, never from the brace.
     lhs = _brace(g_series(order).reduce_mod(5))
-    return lhs - 3 * (p_alpha(-2, order).reduce_mod(5) * _p2_mod5_operator(order)), _nonzero
+    return lhs - 3 * (p_alpha_mod(-2, order, 5) * _p2_mod5_operator(order)), _nonzero
 
 
 def _mod2_reduction(order: int):
     lhs = _brace(g_series(order).reduce_mod(2))
-    p = partition_series(order).reduce_mod(2)
-    return lhs - p_alpha(-1, order).reduce_mod(2) * (qd(qd(p)) + qd(p)), _nonzero
+    p = p_alpha_mod(1, order, 2)
+    return lhs - p_alpha_mod(-1, order, 2) * (qd(qd(p)) + qd(p)), _nonzero
 
 
 def _parity_factor(order: int):
@@ -134,7 +136,7 @@ def _p12_identity(order: int):
 _CHECKS = {
     "mod10": (10, lambda order: (_brace(g_series(order).reduce_mod(10)), _nonzero)),
     "mod5_reduction": (5, _mod5_reduction),
-    "support_lemma": (5, lambda order: (_p2_mod5(order), _off_support)),
+    "support_lemma": (5, lambda order: (p_alpha_mod(2, order, 5), _off_support)),
     "support_consequence": (5, lambda order: (_p2_mod5_operator(order), _nonzero)),
     "mod2_reduction": (2, _mod2_reduction),
     "parity_factor": (2, _parity_factor),

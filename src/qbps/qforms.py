@@ -8,6 +8,11 @@ substitution over the O(sqrt N) nonzero coefficients of P^-1, all +-1, in blocks
 of isqrt(N+1) coefficients.  A pentagonal term at least one block back is added
 to or subtracted from a whole block as one slice; the few nearer terms are summed
 per coefficient.  G comes from an independent divisor sieve, never from P.
+
+The congruence checks need P^alpha only mod m, and the catalog serves it in Z/m:
+Euler's P^-1 reduced mod m, then ResidueSeries.inverse, the same substitution
+over packed blocks of residues.  There is one inverter per coefficient domain,
+and no exact P is built for a residue power.
 """
 
 from __future__ import annotations
@@ -15,9 +20,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
-from .series import TruncatedSeries
+from .series import ResidueSeries, TruncatedSeries
 
-__all__ = ["sigma", "partition_series", "p_alpha", "g_series", "QFormCatalog", "catalog_for"]
+__all__ = ["sigma", "partition_series", "p_alpha", "p_alpha_mod", "g_series", "QFormCatalog",
+           "catalog_for"]
 
 
 def sigma(k: int) -> int:
@@ -45,8 +51,8 @@ def _sigma_table(order: int) -> list[int]:
 
 
 class QFormCatalog:
-    """Lazily built, per-order cache of P, G, the integer powers of P, and the
-    series composed from them.
+    """Lazily built, per-order cache of P, G, the integer powers of P, exact and
+    mod m, and the series composed from them.
 
     All series share the catalog's truncation order, so formulas composed from
     catalog members never silently truncate shorter than expected.  Each member
@@ -65,7 +71,7 @@ class QFormCatalog:
     def order(self) -> int:
         return self._order
 
-    def derived(self, key, build) -> TruncatedSeries:
+    def derived(self, key, build):
         """build(), called at most once per catalog; later calls with key return its result."""
         if key not in self._series:
             self._series[key] = build()
@@ -93,6 +99,22 @@ class QFormCatalog:
             return self.derived(alpha, lambda: self.power(-1) ** -alpha)
         return self.derived(alpha, lambda: self.partition ** alpha)
 
+    def power_mod(self, alpha: int, modulus: int) -> ResidueSeries:
+        """P^alpha mod m at the catalog order, cached per (exponent, modulus).
+
+        P^-1 mod m is Euler's pentagonal series reduced mod m, and P mod m is its
+        residue inverse(), so no exact P is built; every other power is a power
+        of one of those two.  Never built from Frobenius, (P mod 5)^5 = P(q^5),
+        which is how the support lemma is proved.
+        """
+        if alpha == -1:
+            build = lambda: self.power(-1).reduce_mod(modulus)
+        elif alpha == 1:
+            build = lambda: self.power_mod(-1, modulus).inverse()
+        else:
+            build = lambda: self.power_mod(1 if alpha > 0 else -1, modulus) ** abs(alpha)
+        return self.derived((alpha, modulus), build)
+
     def _pentagonal(self) -> TruncatedSeries:
         # prod (1-q^m) = sum_{j in Z} (-1)^j q^{j(3j-1)/2}.
         coeffs = [0] * (self._order + 1)
@@ -116,6 +138,11 @@ def partition_series(order: int) -> TruncatedSeries:
 def p_alpha(alpha: int, order: int) -> TruncatedSeries:
     """The alpha-th power of the partition series, any integer alpha."""
     return catalog_for(order).power(alpha)
+
+
+def p_alpha_mod(alpha: int, order: int, modulus: int) -> ResidueSeries:
+    """P^alpha mod m, any integer alpha, built in Z/m without an exact P."""
+    return catalog_for(order).power_mod(alpha, modulus)
 
 
 def g_series(order: int) -> TruncatedSeries:

@@ -11,10 +11,16 @@ wide as a tight bound on the low product coefficients (one prefix maximum and
 one dot product), then a single libmpdec multiply (the C library behind the
 stdlib decimal module, which multiplies huge operands by a number-theoretic
 transform) under a private context that traps any rounding.  Exact series
-enter the kernel as integers over a common denominator.  Exact inversion needs
-no product: it is forward substitution over the nonzero coefficients only,
-blocked so that each term far enough back is added to a whole block of output
-coefficients as one slice.
+enter the kernel as integers over a common denominator.
+
+Inversion needs no product, and there is one inverter per coefficient domain,
+both forward substitution over the nonzero coefficients only, in blocks of
+isqrt(len) output coefficients.  A term at least a block back reads only
+finished coefficients, so it enters a whole block at once: in the exact domain
+as one slice of ints or Fractions, in Z/m as one window of a packed int whose
+fixed-width byte slots hold a finished block of residues.  A negative power
+inverts, then raises, in either domain.
+
 Arithmetic between series of different truncation orders truncates to the
 smaller order, and equality compares coefficients up to the smaller order.
 """
@@ -25,7 +31,7 @@ import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 __all__ = ["TruncatedSeries", "ResidueSeries", "qd"]
 
@@ -107,14 +113,16 @@ class _Series:
     """The truncated ring, written once for every coefficient domain.
 
     A subclass sets ``_scalars`` and provides ``_coerce`` (one coefficient into
-    the domain) and ``_product`` (the product of two equal-length coefficient
-    sequences); one with per-instance state overrides ``_new`` to pass it along.
+    the domain), ``_coerce_all`` (a whole tuple of them, after one scan of the
+    value types), ``_product`` (the product of two equal-length coefficient
+    sequences) and ``inverse``; one with per-instance state overrides ``_new``
+    to pass it along.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs, order: int | None = None):
-        values = tuple(map(self._coerce, coeffs))
+        values = self._coerce_all(tuple(coeffs))
         if not values:
             raise ValueError("a truncated series needs at least its constant coefficient")
         if order is not None and len(values) != order + 1:
@@ -162,13 +170,13 @@ class _Series:
             return self._new(coeffs)
         if not isinstance(other, type(self)):
             return NotImplemented
-        n = self._common_order(other)
-        return self._new([self._coeffs[k] + other._coeffs[k] for k in range(n + 1)])
+        self._common_order(other)       # validates the pair; map stops at the shorter
+        return self._new(map(add, self._coeffs, other._coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new([-c for c in self._coeffs])
+        return self._new(map(neg, self._coeffs))
 
     def __sub__(self, other):
         if isinstance(other, self._scalars) or isinstance(other, type(self)):
@@ -182,7 +190,7 @@ class _Series:
 
     def __mul__(self, other):
         if isinstance(other, self._scalars):
-            return self._new([c * other for c in self._coeffs])
+            return self._new(map(mul, self._coeffs, repeat(other)))
         if not isinstance(other, type(self)):
             return NotImplemented
         n = self._common_order(other)
@@ -191,8 +199,11 @@ class _Series:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise TypeError("series exponent must be a non-negative integer")
+        """Repeated squaring; a negative exponent inverts, then raises."""
+        if not isinstance(exponent, int):
+            raise TypeError("series exponent must be an integer")
+        if exponent < 0:
+            return self.inverse() ** -exponent
         if exponent == 0:
             return self._new([1] + [0] * self.order)
         result = None
@@ -208,7 +219,7 @@ class _Series:
 
     def q_derivative(self):
         """Apply q*d/dq: the coefficient of q^k is scaled by k.  Same order."""
-        return self._new([k * c for k, c in enumerate(self._coeffs)])
+        return self._new(map(mul, range(len(self._coeffs)), self._coeffs))
 
     # -- comparison --------------------------------------------------------
 
@@ -234,6 +245,13 @@ class TruncatedSeries(_Series):
     __slots__ = ()
     _scalars = (int, Fraction)
     _coerce = staticmethod(_normalize)
+
+    @staticmethod
+    def _coerce_all(values: tuple) -> tuple:
+        # Plain ints, the common case, stay as they are.
+        if {int}.issuperset(map(type, values)):
+            return values
+        return tuple(map(_normalize, values))
 
     @classmethod
     def zero(cls, order: int) -> TruncatedSeries:
@@ -288,11 +306,6 @@ class TruncatedSeries(_Series):
                 g.append(partial + sum(c * g[pos - i] for i, c in near))
         return TruncatedSeries(g[step:])
 
-    def __pow__(self, exponent: int) -> TruncatedSeries:
-        if isinstance(exponent, int) and exponent < 0:
-            return self.inverse() ** (-exponent)
-        return super().__pow__(exponent)
-
     def reduce_mod(self, modulus: int) -> ResidueSeries:
         """Reduce each coefficient into Z/m via the modular inverse of its denominator.
 
@@ -300,6 +313,8 @@ class TruncatedSeries(_Series):
         """
         if modulus < 2:
             raise ValueError("modulus must be at least 2")
+        if {int}.issuperset(map(type, self._coeffs)):
+            return ResidueSeries(self._coeffs, modulus)
         residues = []
         for k, c in enumerate(self._coeffs):
             if isinstance(c, Fraction):
@@ -329,7 +344,8 @@ class ResidueSeries(_Series):
     """A truncated series with coefficients in Z/m, stored as integers in [0, m).
 
     Coefficients must be ints: a float or Fraction raises TypeError rather
-    than being rounded into the ring.
+    than being rounded into the ring.  Supports the ring operations, ** with
+    any integer exponent, and inversion when the constant term is a unit mod m.
     """
 
     __slots__ = ("_modulus",)
@@ -347,6 +363,11 @@ class ResidueSeries(_Series):
             raise TypeError(f"residue coefficient must be an int, got {type(value).__name__}")
         return value % self._modulus
 
+    def _coerce_all(self, values: tuple) -> tuple:
+        if {int}.issuperset(map(type, values)):
+            return tuple(map(self._modulus.__rmod__, values))
+        return tuple(map(self._coerce, values))
+
     def _new(self, coeffs) -> ResidueSeries:
         return ResidueSeries(coeffs, self._modulus)
 
@@ -362,6 +383,78 @@ class ResidueSeries(_Series):
     @property
     def modulus(self) -> int:
         return self._modulus
+
+    def inverse(self) -> ResidueSeries:
+        """Multiplicative inverse in Z/m up to the truncation order, by blocked forward
+        substitution over packed blocks.
+
+        g_k = c_1 g_(k-1) + ... + c_k g_0 with c_i = -f_i / f_0 mod m, over the nonzero
+        c_i only, each taken in (-m/2, m/2].  The g_k are produced in blocks of
+        B = isqrt(len) coefficients, and each finished block is kept as one int of
+        w-byte slots.  A term c_i with i >= B reads only finished blocks, so it enters
+        the next block as one window cut from at most two packed blocks (shift, or,
+        mask), added c_i times to an accumulator that starts at bound in every slot,
+        bound = sum_(i>=B) |c_i| (m-1).  Every slot then stays in [0, 2 bound], and w
+        is wide enough for that and for m - 1, so no slot borrows from the next; the
+        accumulator is unpacked once per block.  Only the terms with i < B are summed
+        coefficient by coefficient, and each g_k is reduced mod m once.
+        """
+        f, m = self._coeffs, self._modulus
+        try:
+            inv0 = pow(f[0], -1, m)
+        except ValueError:
+            raise ZeroDivisionError(
+                f"constant term {f[0]} is not a unit mod {m}, so the series has no inverse"
+            ) from None
+        step = math.isqrt(len(f))
+        support = [(i, r - m if 2 * r > m else r)
+                   for i, c in enumerate(f) if i and (r := -inv0 * c % m)]
+        far = [(i, c) for i, c in support if i >= step]
+        # The near terms, grouped by value: c -> the offsets -i, since g_(k-i) is
+        # g[-i] while g_k is being appended.
+        near = {}
+        for i, c in support:
+            if i < step:
+                near.setdefault(c, []).append(-i)
+        near = list(near.items())
+        bound = sum(abs(c) for _, c in far) * (m - 1)
+        width = (max(2 * bound, m).bit_length() + 7) // 8
+        bits = width * 8
+        mask = (1 << step * bits) - 1
+        bias = int.from_bytes(bound.to_bytes(width, "little") * step, "little")
+        # g[step + k] holds g_k, and the step zeros in front stand for g_k at k < 0.
+        # packed[j] holds g_(j step) .. g_(j step + step - 1), g_(j step + s) in slot s.
+        g = [0] * step
+        back = g.__getitem__
+        packed = []
+        for lo in range(0, len(f), step):
+            hi = min(lo + step, len(f))         # this block is g_lo .. g_(hi-1)
+            # g_0 = 1/f_0 rides in slot 0; it fits, as bound is 0 or at least m - 1.
+            acc = bias if lo else bias + inv0
+            for i, c in far:
+                if i >= hi:
+                    break
+                start = lo - i                  # the window is g_start .. g_(start+step-1)
+                j, s = divmod(start, step)
+                if start < 0:                   # g_0 .. g_(start+step-1), shifted up
+                    window = packed[0] << -start * bits & mask
+                elif s:                         # the top of packed[j], the bottom of packed[j+1]
+                    window = packed[j] >> s * bits | packed[j + 1] << (step - s) * bits & mask
+                else:
+                    window = packed[j]
+                if c == 1:
+                    acc += window
+                elif c == -1:
+                    acc -= window
+                else:
+                    acc += c * window
+            raw = acc.to_bytes(step * width, "little")
+            for at in range(0, (hi - lo) * width, width):
+                partial = int.from_bytes(raw[at:at + width], "little") - bound
+                g.append((partial + sum([c * sum(map(back, offsets)) for c, offsets in near])) % m)
+            packed.append(int.from_bytes(
+                b"".join([v.to_bytes(width, "little") for v in g[step + lo:]]), "little"))
+        return ResidueSeries(g[step:], m)
 
     def __eq__(self, other):
         if isinstance(other, ResidueSeries) and self._modulus != other._modulus:

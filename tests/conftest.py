@@ -58,6 +58,20 @@ def invert(f):
     return g
 
 
+def invert_mod(f, m):
+    """Coefficients of 1/f in Z/m through the length of f, by the same dense double
+    loop as invert, with one modular inverse of f_0: every term written out, zeros
+    included, and each g_k reduced into [0, m)."""
+    lead = pow(f[0], -1, m)
+    g = []
+    for k in range(len(f)):
+        rest = int(k == 0)
+        for j in range(1, k + 1):
+            rest -= f[j] * g[k - j]
+        g.append(rest * lead % m)
+    return g
+
+
 def pentagonal(n: int) -> list[int]:
     """Coefficients through q^n of prod (1 - q^m), by Euler's pentagonal number
     theorem: (-1)^j at the generalized pentagonal numbers j(3j -+ 1)/2, else 0."""
@@ -78,6 +92,7 @@ def oracle():
         divisor_sum = staticmethod(divisor_sum_naive)
         convolve = staticmethod(convolve)
         invert = staticmethod(invert)
+        invert_mod = staticmethod(invert_mod)
         pentagonal = staticmethod(pentagonal)
 
     return Oracle

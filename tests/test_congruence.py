@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from qbps import bps
-from qbps.series import ResidueSeries, qd
-from qbps.qforms import catalog_for, g_series, p_alpha, partition_series
+from qbps.series import ResidueSeries, TruncatedSeries, qd
+from qbps.qforms import catalog_for, g_series, p_alpha, p_alpha_mod, partition_series
 from qbps.congruence import (
     CongruenceCheck, CHECK_NAMES,
     check_mod10, check_mod5_reduction, check_support_lemma,
@@ -247,27 +247,39 @@ class TestRunAll:
     @pytest.mark.parametrize("name, built, sweep", [
         ("mod10", g_series, lambda: run_all(order=50, names=["mod10"])),
         ("mod10", g_series, lambda: check_mod10(50)),
-        ("support_lemma", partition_series, lambda: check_support_lemma(50)),
+        ("support_lemma", p_alpha_mod, lambda: check_support_lemma(50)),
         ("parity_factor", partition_series, lambda: check_parity_factor(50)),
-        ("mod5_reduction", partition_series, lambda: check_mod5_reduction(50)),
-        ("support_consequence", partition_series, lambda: check_support_consequence(50)),
-        ("mod2_reduction", partition_series, lambda: check_mod2_reduction(50)),
+        ("mod5_reduction", p_alpha_mod, lambda: check_mod5_reduction(50)),
+        ("support_consequence", p_alpha_mod, lambda: check_support_consequence(50)),
+        ("mod2_reduction", p_alpha_mod, lambda: check_mod2_reduction(50)),
         ("g_identity", partition_series, lambda: run_all(order=50, names=["g_identity"])),
     ], ids=["run_all", "check_mod10", "check_support_lemma", "check_parity_factor",
             "check_mod5_reduction", "check_support_consequence", "check_mod2_reduction",
             "g_identity"])
     def test_short_sweep_rejected(self, monkeypatch, name, built, sweep):
-        monkeypatch.setattr(f"qbps.congruence.{built.__name__}", lambda order: built(order - 1))
+        if built is p_alpha_mod:        # the residue rows ask for (alpha, order, modulus)
+            short = lambda alpha, order, modulus: built(alpha, order - 1, modulus)
+        else:
+            short = lambda order: built(order - 1)
+        monkeypatch.setattr(f"qbps.congruence.{built.__name__}", short)
         with pytest.raises(RuntimeError, match=f"{name} swept order 49"):
             sweep()
 
-    def test_one_run_takes_eleven_products(self, products):
-        # P^12 (4) and P^-2 (1), then one each: G*G and P^12 times the brace for B,
-        # P^12*G for A (p12_identity reads it too), P^12*DG for N1, G*(2DP12 - P12)
-        # in b_intermediate, and P^-1*DP in g_identity.
+    def test_one_run_takes_ten_products(self, products):
+        # P^12 (4), then one each: G*G and P^12 times the brace for B, P^12*G for A
+        # (p12_identity reads it too), P^12*DG for N1, G*(2DP12 - P12) in
+        # b_intermediate, and P^-1*DP in g_identity.  P^-2 is a residue square.
         catalog_for.cache_clear()
         assert all(r.passed for r in run_all(order=50))
-        assert len(products) == 11
+        assert len(products) == 10
+
+    def test_support_lemma_builds_no_exact_inverse(self, monkeypatch):
+        def refused(self):
+            raise AssertionError("exact inverse built")
+
+        catalog_for.cache_clear()
+        monkeypatch.setattr(TruncatedSeries, "inverse", refused)
+        assert check_support_lemma(300).passed
 
     def test_default_depth_constants(self):
         assert DEFAULT_COMPOSITE_ORDER == 1000

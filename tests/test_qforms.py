@@ -1,5 +1,6 @@
 """Divisor sums, partition series, powers: values against brute-force counting."""
 
+import hashlib
 from fractions import Fraction
 from functools import reduce
 
@@ -7,8 +8,13 @@ import pytest
 
 from qbps.series import TruncatedSeries, qd
 from qbps.qforms import (
-    sigma, partition_series, p_alpha, g_series, QFormCatalog, catalog_for,
+    sigma, partition_series, p_alpha, p_alpha_mod, g_series, QFormCatalog, catalog_for,
 )
+
+
+def digest(residues):
+    """sha256 of a residue series: its modulus and its coefficients."""
+    return hashlib.sha256(repr((residues.modulus, residues.coefficients)).encode()).hexdigest()
 
 
 class TestSigma:
@@ -156,3 +162,19 @@ class TestCatalog:
         assert cat.power(-2) == p_inv * p_inv
         assert cat.power(12).order == 300
         assert p * p_inv == 1
+
+
+class TestPowerMod:
+    @pytest.mark.parametrize("order", [*range(11), 300, 2000, 10000])
+    def test_equals_the_exact_power_reduced(self, order):
+        for alpha in (-2, -1, 1, 2):
+            for m in (2, 5, 10):
+                assert digest(p_alpha_mod(alpha, order, m)) == digest(
+                    p_alpha(alpha, order).reduce_mod(m)), (alpha, m)
+
+    def test_cached_per_exponent_and_modulus(self):
+        cat = QFormCatalog(40)
+        assert cat.power_mod(2, 5) is cat.power_mod(2, 5)
+        assert cat.power_mod(2, 5) is not cat.power_mod(2, 10)
+        assert cat.power_mod(-3, 7) == cat.power_mod(-1, 7) ** 3
+        assert cat.power_mod(0, 3) == 1

@@ -3,12 +3,12 @@
 import decimal
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import convolve, invert
+from conftest import convolve, invert, invert_mod
 from qbps.qforms import p_alpha, partition_series
 from qbps.series import TruncatedSeries, ResidueSeries, qd
 
@@ -457,8 +457,29 @@ class TestResidueSeries:
         r = ResidueSeries([1, 1, 0, 0], 5)
         assert (r ** 3).coefficients == (1, 3, 3, 1)
         assert (r ** 0).coefficients == (1, 0, 0, 0)
+        assert (r ** -1).coefficients == (1, 4, 1, 4)
+        assert (r ** -2).coefficients == (1, 3, 3, 1)
         with pytest.raises(TypeError):
-            r ** -1
+            r ** Fraction(1, 2)
+
+    def test_non_unit_lead_has_no_inverse(self):
+        with pytest.raises(ZeroDivisionError, match="constant term 2 is not a unit mod 10"):
+            ResidueSeries([2, 1, 1], 10).inverse()
+        with pytest.raises(ZeroDivisionError, match="mod 5"):
+            ResidueSeries([5, 1], 5) ** -3
+
+    def test_inverse_without_far_terms_keeps_wide_residues(self, oracle):
+        # With no term a block back the slot bound is 0, yet a slot must still hold
+        # any residue: here 1/2 and its powers, 64-bit residues.
+        m = 2 ** 64 + 13
+        for coeffs in ([2], [2, 1, 0, 0, 0, 0, 0, 0, 0], [3, 0, 5, 0, 0, 0, 0, 0, 0]):
+            got = ResidueSeries(coeffs, m).inverse().coefficients
+            assert list(got) == oracle.invert_mod(coeffs, m)
+
+    def test_bools_demote_to_plain_int(self):
+        r = ResidueSeries([True, 3, False], 2)
+        assert [type(c) for c in r.coefficients] == [int] * 3
+        assert r.coefficients == (1, 1, 0)
 
     def test_q_derivative(self):
         r = ResidueSeries([4, 1, 1, 1], 3)
@@ -490,3 +511,45 @@ def test_packed_convolution_matches_schoolbook(a, b, m):
     want = [sum(a[i] * b[k - i] for i in range(k + 1)) % m for k in range(n)]
     got = ResidueSeries(a, m) * ResidueSeries(b, m)
     assert list(got.coefficients) == want
+
+
+@st.composite
+def residue_inverse_inputs(draw):
+    """A series over Z/m whose length and support straddle the inverter's block edges.
+
+    Blocks are B = isqrt(len) coefficients long, so lengths k B - 1, k B and k B + 1
+    and support indices next to each multiple of B land on both sides of an edge.
+    Values include 1, m - 1 and m/2, the ends of the signed range (-m/2, m/2].  The
+    constant term is any residue, a non-unit included.
+    """
+    m = draw(st.sampled_from([2, 5, 10, 255, 256, 257, 2 ** 64 + 13]))
+    block = draw(st.integers(1, 17))
+    length = draw(st.one_of(st.integers(1, 300), st.builds(
+        lambda k, d: max(1, k * block + d), st.integers(block, block + 2), st.integers(-1, 1))))
+    step = isqrt(length)
+    values = st.one_of(st.sampled_from([1, m - 1, m // 2, m // 2 + 1]), st.integers(0, m - 1))
+    if draw(st.booleans()):
+        indices = range(1, length)
+    else:
+        edges = [j for k in range(1, length // step + 2) for j in (k * step - 1, k * step,
+                 k * step + 1) if 1 <= j < length]
+        indices = draw(st.sets(st.one_of(st.sampled_from(edges), st.integers(1, length - 1)),
+                               max_size=25)) if length > 1 else ()
+    coeffs = [0] * length
+    coeffs[0] = draw(st.one_of(st.sampled_from([1, m - 1]), st.integers(0, m - 1)))
+    for i in indices:
+        coeffs[i] = draw(values)
+    return ResidueSeries(coeffs, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=residue_inverse_inputs())
+def test_residue_inverse_matches_the_dense_oracle(f):
+    m = f.modulus
+    if gcd(f[0], m) != 1:
+        with pytest.raises(ZeroDivisionError):
+            f.inverse()
+        return
+    inv = f.inverse()
+    assert inv.modulus == m
+    assert list(inv.coefficients) == invert_mod(list(f.coefficients), m)
