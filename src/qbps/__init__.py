@@ -8,8 +8,7 @@ exact rational and residue arithmetic to a chosen truncation order.
 """
 
 from .series import TruncatedSeries, ResidueSeries, qd
-from .qforms import (sigma, partition_series, p_alpha, p_alpha_mod, g_series,
-                     QFormCatalog, catalog_for)
+from .qforms import sigma, partition_series, p_alpha, g_series, QFormCatalog, catalog_for
 from .gw import (SurfaceContext, NINE_POINT_BLOWUP, GWTable,
                  n0_series, n1_series, n1_fiber, gw_table)
 from .bps import (ClassData, a_general, b_general, decompositions_for,
@@ -26,8 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TruncatedSeries", "ResidueSeries", "qd",
-    "sigma", "partition_series", "p_alpha", "p_alpha_mod", "g_series", "QFormCatalog",
-    "catalog_for",
+    "sigma", "partition_series", "p_alpha", "g_series", "QFormCatalog", "catalog_for",
     "SurfaceContext", "NINE_POINT_BLOWUP", "GWTable",
     "n0_series", "n1_series", "n1_fiber", "gw_table",
     "ClassData", "a_general", "b_general", "decompositions_for",

@@ -15,7 +15,9 @@ is a real check and not a tautology:
     (a_closed_series = -P12*G and b_closed_series = (1/10)P12*(7G^2 - G + DG)),
 
 plus a third, intermediate rewrite of b that pins the index-shift step of the
-derivation connecting the general formula to the closed form.
+derivation connecting the general formula to the closed form.  The brace
+7G^2 - G + DG of B is built once per order, exactly (brace_series); the
+congruence checks reduce that one series mod 10, 5 and 2.
 
 The integrality of every coefficient is the conjectural content; the
 a_integrality and b_integrality checks of congruence test it, never assume it.
@@ -163,16 +165,14 @@ def b_direct_series(order: int) -> TruncatedSeries:
     return TruncatedSeries(coefficients)
 
 
-def _brace(g):
-    """7G^2 - G + DG from G, in either coefficient domain: exact, or reduced mod m."""
-    return 7 * (g * g) - g + qd(g)
-
-
 # The brace and the closed forms are built once per order, on the order's
 # catalog: several checks scan each of them.
 def brace_series(order: int) -> TruncatedSeries:
     """7G^2 - G + DG, the factor whose coefficients are all divisible by 10."""
-    return catalog_for(order).derived("brace", lambda: _brace(g_series(order)))
+    def build():
+        g = g_series(order)
+        return 7 * (g * g) - g + qd(g)
+    return catalog_for(order).derived("brace", build)
 
 
 def a_closed_series(order: int) -> TruncatedSeries:

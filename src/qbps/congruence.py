@@ -1,8 +1,8 @@
 """Machine checks of the mod-10 divisibility of 7G^2 - G + DG and its proof steps.
 
-Each check reduces integer-coefficient series before multiplying (reduction is
-a ring morphism, so nothing is lost) and scans for the first offending index.
-The composite claim factors through independent mod-5 and mod-2 routes:
+Each check scans a series for its first offending index; reduction mod m is a
+ring morphism, so reducing the exact brace or building P^alpha in Z/m loses
+nothing.  The composite claim factors through independent mod-5 and mod-2 routes:
 
   mod 5: the brace reduces to 3 P_{-2} (D^2 - D) P_2, and (D^2 - D) P_2
          vanishes because the coefficients of P_2 are supported on indices
@@ -10,11 +10,13 @@ The composite claim factors through independent mod-5 and mod-2 routes:
   mod 2: the brace reduces to P_{-1} (D^2 + D) P, whose k-th coefficient
          k(k+1)p(k) is even as a product of consecutive integers.
 
-P^alpha mod m comes from the catalog, p_alpha_mod, built in Z/m: Euler's
-pentagonal P^-1 reduced mod m, its residue inverse for P, and powers of those
-two.  No residue row builds exact P, and none builds P mod 5 from Frobenius,
-(P mod 5)^5 = P(q^5), the support lemma's own proof mechanism.  parity_factor
-alone keeps exact P, since it pins the exact value k(k+1)p(k).
+The brace rows (mod10 and the left sides of mod5_reduction and mod2_reduction)
+reduce the exact brace_series, built once per order from the sieve G.  The
+right sides read P^alpha mod m from the catalog, p_alpha(alpha, order, m),
+built in Z/m: Euler's pentagonal P^-1 reduced mod m, its residue inverse for P,
+and powers of those two.  No residue row builds exact P, and none builds P mod 5
+from Frobenius, (P mod 5)^5 = P(q^5), the support lemma's own proof mechanism.
+parity_factor alone keeps exact P, since it pins the exact value k(k+1)p(k).
 
 Alongside the residue checks, run_all replays the exact-arithmetic facts the
 proof leans on: route equalities for a and b, their integrality, and the
@@ -35,10 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .series import qd
-from .qforms import g_series, p_alpha, p_alpha_mod, partition_series
+from .qforms import g_series, p_alpha, partition_series
 from .bps import (
-    _brace, a_closed_series, a_direct_series,
-    b_closed_series, b_direct_series, b_intermediate_series,
+    a_closed_series, a_direct_series, b_closed_series, b_direct_series,
+    b_intermediate_series, brace_series,
 )
 
 __all__ = [
@@ -94,20 +96,20 @@ def _fractional(k, c):
 
 def _p2_mod5_operator(order: int):
     """(D^2 - D) P_2 mod 5."""
-    p2 = p_alpha_mod(2, order, 5)
+    p2 = p_alpha(2, order, 5)
     return qd(qd(p2)) - qd(p2)
 
 
 def _mod5_reduction(order: int):
-    # The right side comes from P and P^-2 alone, never from the brace.
-    lhs = _brace(g_series(order).reduce_mod(5))
-    return lhs - 3 * (p_alpha_mod(-2, order, 5) * _p2_mod5_operator(order)), _nonzero
+    # The left side comes from G, the right side from P and P^-2 alone.
+    lhs = brace_series(order).reduce_mod(5)
+    return lhs - 3 * (p_alpha(-2, order, 5) * _p2_mod5_operator(order)), _nonzero
 
 
 def _mod2_reduction(order: int):
-    lhs = _brace(g_series(order).reduce_mod(2))
-    p = p_alpha_mod(1, order, 2)
-    return lhs - p_alpha_mod(-1, order, 2) * (qd(qd(p)) + qd(p)), _nonzero
+    lhs = brace_series(order).reduce_mod(2)
+    p = p_alpha(1, order, 2)
+    return lhs - p_alpha(-1, order, 2) * (qd(qd(p)) + qd(p)), _nonzero
 
 
 def _parity_factor(order: int):
@@ -134,9 +136,9 @@ def _p12_identity(order: int):
 # name -> (modulus, build), run in this order.  modulus None marks an exact
 # identity; the other rows are the congruence checks.
 _CHECKS = {
-    "mod10": (10, lambda order: (_brace(g_series(order).reduce_mod(10)), _nonzero)),
+    "mod10": (10, lambda order: (brace_series(order).reduce_mod(10), _nonzero)),
     "mod5_reduction": (5, _mod5_reduction),
-    "support_lemma": (5, lambda order: (p_alpha_mod(2, order, 5), _off_support)),
+    "support_lemma": (5, lambda order: (p_alpha(2, order, 5), _off_support)),
     "support_consequence": (5, lambda order: (_p2_mod5_operator(order), _nonzero)),
     "mod2_reduction": (2, _mod2_reduction),
     "parity_factor": (2, _parity_factor),

@@ -9,10 +9,11 @@ of isqrt(N+1) coefficients.  A pentagonal term at least one block back is added
 to or subtracted from a whole block as one slice; the few nearer terms are summed
 per coefficient.  G comes from an independent divisor sieve, never from P.
 
-The congruence checks need P^alpha only mod m, and the catalog serves it in Z/m:
-Euler's P^-1 reduced mod m, then ResidueSeries.inverse, the same substitution
-over packed blocks of residues.  There is one inverter per coefficient domain,
-and no exact P is built for a residue power.
+The congruence checks need P^alpha only mod m, and one recipe, power(alpha,
+modulus), serves both domains: Euler's P^-1, reduced mod m for a modulus, then
+its inverse() in that domain (ResidueSeries.inverse is the same substitution
+over packed blocks of residues), then powers of those two.  There is one
+inverter per coefficient domain, and no exact P is built for a residue power.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from math import isqrt
 
 from .series import ResidueSeries, TruncatedSeries
 
-__all__ = ["sigma", "partition_series", "p_alpha", "p_alpha_mod", "g_series", "QFormCatalog",
-           "catalog_for"]
+__all__ = ["sigma", "partition_series", "p_alpha", "g_series", "QFormCatalog", "catalog_for"]
 
 
 def sigma(k: int) -> int:
@@ -62,6 +62,8 @@ class QFormCatalog:
     """
 
     def __init__(self, order: int):
+        if type(order) is not int:
+            raise TypeError(f"truncation order must be an int, got {type(order).__name__}")
         if order < 0:
             raise ValueError("truncation order must be non-negative")
         self._order = order
@@ -80,39 +82,29 @@ class QFormCatalog:
     @property
     def partition(self) -> TruncatedSeries:
         """P, the partition generating series, as the inverse of Euler's P^-1."""
-        return self.derived("partition", lambda: self.power(-1).inverse())
+        return self.power(1)
 
     @property
     def divisor_sum(self) -> TruncatedSeries:
         """G, the divisor-sum generating series (constant term 0)."""
         return self.derived("divisor_sum", lambda: TruncatedSeries(_sigma_table(self._order)))
 
-    def power(self, alpha: int) -> TruncatedSeries:
-        """P^alpha at the catalog order, cached per exponent.
+    def power(self, alpha: int, modulus: int | None = None) -> TruncatedSeries | ResidueSeries:
+        """P^alpha at the catalog order, exact or mod m, cached per (exponent, modulus).
 
-        P^-1 is Euler's pentagonal series; every other negative power is a
-        power of it, and every non-negative power is a power of P.
+        P^-1 is Euler's pentagonal series, reduced mod m for a modulus; P is its
+        inverse() in the same domain, so no exact P is built for a residue power;
+        every other power is a power of one of those two.  P mod m is never built
+        from Frobenius, (P mod 5)^5 = P(q^5), which is how the support lemma is proved.
         """
-        if alpha == -1:
-            return self.derived(alpha, self._pentagonal)
-        if alpha < -1:
-            return self.derived(alpha, lambda: self.power(-1) ** -alpha)
-        return self.derived(alpha, lambda: self.partition ** alpha)
-
-    def power_mod(self, alpha: int, modulus: int) -> ResidueSeries:
-        """P^alpha mod m at the catalog order, cached per (exponent, modulus).
-
-        P^-1 mod m is Euler's pentagonal series reduced mod m, and P mod m is its
-        residue inverse(), so no exact P is built; every other power is a power
-        of one of those two.  Never built from Frobenius, (P mod 5)^5 = P(q^5),
-        which is how the support lemma is proved.
-        """
-        if alpha == -1:
+        if alpha == -1 and modulus is None:
+            build = self._pentagonal
+        elif alpha == -1:
             build = lambda: self.power(-1).reduce_mod(modulus)
         elif alpha == 1:
-            build = lambda: self.power_mod(-1, modulus).inverse()
+            build = lambda: self.power(-1, modulus).inverse()
         else:
-            build = lambda: self.power_mod(1 if alpha > 0 else -1, modulus) ** abs(alpha)
+            build = lambda: self.power(1 if alpha > 0 else -1, modulus) ** abs(alpha)
         return self.derived((alpha, modulus), build)
 
     def _pentagonal(self) -> TruncatedSeries:
@@ -124,7 +116,7 @@ class QFormCatalog:
         return TruncatedSeries(coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)      # typed: True never aliases order 1
 def catalog_for(order: int) -> QFormCatalog:
     """Shared catalog per truncation order; repeated formula evaluation reuses it."""
     return QFormCatalog(order)
@@ -135,14 +127,9 @@ def partition_series(order: int) -> TruncatedSeries:
     return catalog_for(order).partition
 
 
-def p_alpha(alpha: int, order: int) -> TruncatedSeries:
-    """The alpha-th power of the partition series, any integer alpha."""
-    return catalog_for(order).power(alpha)
-
-
-def p_alpha_mod(alpha: int, order: int, modulus: int) -> ResidueSeries:
-    """P^alpha mod m, any integer alpha, built in Z/m without an exact P."""
-    return catalog_for(order).power_mod(alpha, modulus)
+def p_alpha(alpha: int, order: int, modulus: int | None = None) -> TruncatedSeries | ResidueSeries:
+    """P^alpha for any integer alpha, exact, or mod m built in Z/m without an exact P."""
+    return catalog_for(order).power(alpha, modulus)
 
 
 def g_series(order: int) -> TruncatedSeries:

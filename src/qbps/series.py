@@ -109,6 +109,18 @@ def _convolution(a, b) -> list[int]:
     return [int(c) - half for c in slots]
 
 
+def _near_by_value(support, step):
+    """The terms (i, c) with i < step, grouped by value c with their offsets -i.
+
+    An inverter appending g_k reads g_(k-i) as g[-i].
+    """
+    near = {}
+    for i, c in support:
+        if i < step:
+            near.setdefault(c, []).append(-i)
+    return list(near.items())
+
+
 class _Series:
     """The truncated ring, written once for every coefficient domain.
 
@@ -276,7 +288,7 @@ class TruncatedSeries(_Series):
         at least the block length reads only coefficients final before the block
         starts, so it enters the block's accumulator as one slice: added for c = 1,
         subtracted for c = -1, scaled then added otherwise.  Only the terms with i
-        below the block length are summed coefficient by coefficient.
+        below the block length are summed coefficient by coefficient, grouped by value.
         """
         f = self._coeffs
         if f[0] == 0:
@@ -284,11 +296,12 @@ class TruncatedSeries(_Series):
         inv0 = _normalize(Fraction(1) / f[0])
         step = math.isqrt(len(f))
         support = [(i, _normalize(-inv0 * c)) for i, c in enumerate(f) if i and c]
-        near = [(i, c) for i, c in support if i < step]
         far = [(i, c) for i, c in support if i >= step]
+        near = _near_by_value(support, step)
         # g[step + k] holds g_k, and the step zeros in front stand for g_k at k < 0,
         # so every window below is a full slice.
         g = [0] * step + [inv0]
+        back = g.__getitem__
         for lo in range(1, len(f), step):
             hi = min(lo + step, len(f))       # this block is g_lo .. g_(hi-1)
             block = [0] * (hi - lo)
@@ -302,8 +315,8 @@ class TruncatedSeries(_Series):
                     block = list(map(sub, block, window))
                 else:
                     block = list(map(add, block, map(mul, repeat(c), window)))
-            for pos, partial in enumerate(block, step + lo):
-                g.append(partial + sum(c * g[pos - i] for i, c in near))
+            for partial in block:
+                g.append(partial + sum([c * sum(map(back, offsets)) for c, offsets in near]))
         return TruncatedSeries(g[step:])
 
     def reduce_mod(self, modulus: int) -> ResidueSeries:
@@ -376,10 +389,6 @@ class ResidueSeries(_Series):
             raise ValueError(f"modulus mismatch: {self._modulus} vs {other._modulus}")
         return super()._common_order(other)
 
-    @classmethod
-    def zero(cls, order: int, modulus: int) -> ResidueSeries:
-        return cls([0] * (order + 1), modulus)
-
     @property
     def modulus(self) -> int:
         return self._modulus
@@ -410,13 +419,7 @@ class ResidueSeries(_Series):
         support = [(i, r - m if 2 * r > m else r)
                    for i, c in enumerate(f) if i and (r := -inv0 * c % m)]
         far = [(i, c) for i, c in support if i >= step]
-        # The near terms, grouped by value: c -> the offsets -i, since g_(k-i) is
-        # g[-i] while g_k is being appended.
-        near = {}
-        for i, c in support:
-            if i < step:
-                near.setdefault(c, []).append(-i)
-        near = list(near.items())
+        near = _near_by_value(support, step)
         bound = sum(abs(c) for _, c in far) * (m - 1)
         width = (max(2 * bound, m).bit_length() + 7) // 8
         bits = width * 8

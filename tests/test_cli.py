@@ -1,6 +1,7 @@
 """Command-line behavior: output shapes, exact rendering, exit-status contract."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -144,6 +145,21 @@ class TestSeries:
     def test_name_required(self, runner):
         result = runner.invoke(main, ["series", "--terms", "2"])
         assert result.exit_code == 2
+
+
+class TestPinnedOutput:
+    # sha256 of the whole output: a refactor of the builders must leave every
+    # byte of it unchanged.
+    @pytest.mark.parametrize("args, sha256", [
+        (["table", "--kind", "bps", "--terms", "2000", "--format", "csv"],
+         "a07f6fac376b5102a1dc4507e97041979f8c05201689819d01a7e129433f45f0"),
+        (["verify", "--terms", "300"],
+         "afe312eea6fdbf4c9d2b03f7806eb36bbec42fbfdbc6309703778d58966b8a47"),
+    ], ids=["table_bps_2000", "verify_300"])
+    def test_output_digest(self, runner, args, sha256):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == sha256
 
 
 class TestProcessEntry:

@@ -6,7 +6,7 @@ import pytest
 
 from qbps import bps
 from qbps.series import ResidueSeries, TruncatedSeries, qd
-from qbps.qforms import catalog_for, g_series, p_alpha, p_alpha_mod, partition_series
+from qbps.qforms import catalog_for, g_series, p_alpha, partition_series
 from qbps.congruence import (
     CongruenceCheck, CHECK_NAMES,
     check_mod10, check_mod5_reduction, check_support_lemma,
@@ -245,20 +245,20 @@ class TestRunAll:
         assert by_name["support_lemma"].order == 40
 
     @pytest.mark.parametrize("name, built, sweep", [
-        ("mod10", g_series, lambda: run_all(order=50, names=["mod10"])),
-        ("mod10", g_series, lambda: check_mod10(50)),
-        ("support_lemma", p_alpha_mod, lambda: check_support_lemma(50)),
+        ("mod10", bps.brace_series, lambda: run_all(order=50, names=["mod10"])),
+        ("mod10", bps.brace_series, lambda: check_mod10(50)),
+        ("support_lemma", p_alpha, lambda: check_support_lemma(50)),
         ("parity_factor", partition_series, lambda: check_parity_factor(50)),
-        ("mod5_reduction", p_alpha_mod, lambda: check_mod5_reduction(50)),
-        ("support_consequence", p_alpha_mod, lambda: check_support_consequence(50)),
-        ("mod2_reduction", p_alpha_mod, lambda: check_mod2_reduction(50)),
+        ("mod5_reduction", p_alpha, lambda: check_mod5_reduction(50)),
+        ("support_consequence", p_alpha, lambda: check_support_consequence(50)),
+        ("mod2_reduction", p_alpha, lambda: check_mod2_reduction(50)),
         ("g_identity", partition_series, lambda: run_all(order=50, names=["g_identity"])),
     ], ids=["run_all", "check_mod10", "check_support_lemma", "check_parity_factor",
             "check_mod5_reduction", "check_support_consequence", "check_mod2_reduction",
             "g_identity"])
     def test_short_sweep_rejected(self, monkeypatch, name, built, sweep):
-        if built is p_alpha_mod:        # the residue rows ask for (alpha, order, modulus)
-            short = lambda alpha, order, modulus: built(alpha, order - 1, modulus)
+        if built is p_alpha:        # the residue rows ask for (alpha, order, modulus)
+            short = lambda alpha, order, modulus=None: built(alpha, order - 1, modulus)
         else:
             short = lambda order: built(order - 1)
         monkeypatch.setattr(f"qbps.congruence.{built.__name__}", short)
@@ -272,6 +272,20 @@ class TestRunAll:
         catalog_for.cache_clear()
         assert all(r.passed for r in run_all(order=50))
         assert len(products) == 10
+
+    def test_congruence_rows_take_one_exact_product(self, products):
+        # G*G for the brace, which the three brace rows reduce mod 10, 5 and 2.
+        # Every residue power is built in Z/m, and parity_factor's P is an inverse.
+        catalog_for.cache_clear()
+        rows = ["mod10", "mod5_reduction", "support_lemma", "support_consequence",
+                "mod2_reduction", "parity_factor"]
+        assert all(r.passed for r in run_all(order=50, names=rows))
+        assert len(products) == 1
+
+    @pytest.mark.parametrize("order", [2.5, True], ids=["float", "bool"])
+    def test_non_int_order_rejected(self, order):
+        with pytest.raises(TypeError, match=f"order must be an int, got {type(order).__name__}"):
+            run_all(order=order)
 
     def test_support_lemma_builds_no_exact_inverse(self, monkeypatch):
         def refused(self):

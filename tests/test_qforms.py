@@ -8,7 +8,7 @@ import pytest
 
 from qbps.series import TruncatedSeries, qd
 from qbps.qforms import (
-    sigma, partition_series, p_alpha, p_alpha_mod, g_series, QFormCatalog, catalog_for,
+    sigma, partition_series, p_alpha, g_series, QFormCatalog, catalog_for,
 )
 
 
@@ -148,6 +148,24 @@ class TestCatalog:
         with pytest.raises(ValueError):
             QFormCatalog(-1)
 
+    @pytest.mark.parametrize("order", [2.5, 3.0, True])
+    def test_non_int_order_rejected(self, order):
+        with pytest.raises(TypeError, match=f"order must be an int, got {type(order).__name__}"):
+            QFormCatalog(order)
+
+    def test_float_order_rejected_by_the_builders(self):
+        with pytest.raises(TypeError, match="order must be an int, got float"):
+            partition_series(3.0)
+
+    def test_bool_order_does_not_alias_order_one(self):
+        catalog_for(1)
+        with pytest.raises(TypeError, match="order must be an int, got bool"):
+            catalog_for(True)
+
+    def test_partition_is_the_first_power(self):
+        cat = QFormCatalog(30)
+        assert cat.partition is cat.power(1)
+
     def test_inversion_takes_no_product(self, monkeypatch):
         def no_product(a, b):
             raise AssertionError("inversion multiplied two series")
@@ -169,12 +187,12 @@ class TestPowerMod:
     def test_equals_the_exact_power_reduced(self, order):
         for alpha in (-2, -1, 1, 2):
             for m in (2, 5, 10):
-                assert digest(p_alpha_mod(alpha, order, m)) == digest(
+                assert digest(p_alpha(alpha, order, m)) == digest(
                     p_alpha(alpha, order).reduce_mod(m)), (alpha, m)
 
     def test_cached_per_exponent_and_modulus(self):
         cat = QFormCatalog(40)
-        assert cat.power_mod(2, 5) is cat.power_mod(2, 5)
-        assert cat.power_mod(2, 5) is not cat.power_mod(2, 10)
-        assert cat.power_mod(-3, 7) == cat.power_mod(-1, 7) ** 3
-        assert cat.power_mod(0, 3) == 1
+        assert cat.power(2, 5) is cat.power(2, 5)
+        assert cat.power(2, 5) is not cat.power(2, 10)
+        assert cat.power(-3, 7) == cat.power(-1, 7) ** 3
+        assert cat.power(0, 3) == 1
