@@ -3,17 +3,16 @@
 Conventions: the partition series P carries constant term p(0) = 1, forced by
 the product form prod_{m>=1} (1-q^m)^{-1}; the divisor-sum series G carries
 constant term 0 since sigma(0) is undefined.  P^-1 = prod (1-q^m) is written
-down by Euler's pentagonal number theorem, and P is its series inverse: forward
-substitution over the O(sqrt N) nonzero coefficients of P^-1, all +-1, in blocks
-of isqrt(N+1) coefficients.  A pentagonal term at least one block back is added
-to or subtracted from a whole block as one slice; the few nearer terms are summed
-per coefficient.  G comes from an independent divisor sieve, never from P.
+down by Euler's pentagonal number theorem, and P is its series inverse, the
+blocked forward substitution of the series module over the O(sqrt N) nonzero
+coefficients of P^-1, all +-1.  G comes from an independent divisor sieve, never
+from P.
 
 The congruence checks need P^alpha only mod m, and one recipe, power(alpha,
 modulus), serves both domains: Euler's P^-1, reduced mod m for a modulus, then
-its inverse() in that domain (ResidueSeries.inverse is the same substitution
-over packed blocks of residues), then powers of those two.  There is one
-inverter per coefficient domain, and no exact P is built for a residue power.
+its inverse() in that domain (ResidueSeries.inverse, the same substitution over
+packed blocks of residues), then powers of those two.  No exact P is built for a
+residue power.
 """
 
 from __future__ import annotations
@@ -96,7 +95,13 @@ class QFormCatalog:
         inverse() in the same domain, so no exact P is built for a residue power;
         every other power is a power of one of those two.  P mod m is never built
         from Frobenius, (P mod 5)^5 = P(q^5), which is how the support lemma is proved.
+        An exponent or a modulus that is not a plain int raises TypeError, before the
+        cache is read: 2.0 == 2 and True == 1 would otherwise find P^2 and P there.
         """
+        if type(alpha) is not int:
+            raise TypeError(f"exponent must be an int, got {type(alpha).__name__}")
+        if modulus is not None and type(modulus) is not int:
+            raise TypeError(f"modulus must be an int, got {type(modulus).__name__}")
         if alpha == -1 and modulus is None:
             build = self._pentagonal
         elif alpha == -1:

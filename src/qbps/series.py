@@ -15,11 +15,15 @@ enter the kernel as integers over a common denominator.
 
 Inversion needs no product, and there is one inverter per coefficient domain,
 both forward substitution over the nonzero coefficients only, in blocks of
-isqrt(len) output coefficients.  A term at least a block back reads only
-finished coefficients, so it enters a whole block at once: in the exact domain
-as one slice of ints or Fractions, in Z/m as one window of a packed int whose
-fixed-width byte slots hold a finished block of residues.  A negative power
-inverts, then raises, in either domain.
+B = isqrt(len) output coefficients.  The output list starts with B zeros, which
+stand for the coefficients below q^0, then g_0, so the first block starts at q^1.
+One helper groups the support by value c into near terms (index below B) and far
+ones.  A far term reads only finished coefficients, B of them, so it enters a
+whole block at once: the windows of one value are summed, then scaled by c once
+per block, in the exact domain as slices of ints or Fractions added column by
+column, in Z/m as windows of packed ints whose fixed-width byte slots hold B
+finished residues each.  Near terms are summed per coefficient, one sum per
+value.  A negative power inverts, then raises, in either domain.
 
 Arithmetic between series of different truncation orders truncates to the
 smaller order, and equality compares coefficients up to the smaller order.
@@ -31,7 +35,7 @@ import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add, mul, neg, sub
+from operator import add, mul, neg
 
 __all__ = ["TruncatedSeries", "ResidueSeries", "qd"]
 
@@ -109,16 +113,20 @@ def _convolution(a, b) -> list[int]:
     return [int(c) - half for c in slots]
 
 
-def _near_by_value(support, step):
-    """The terms (i, c) with i < step, grouped by value c with their offsets -i.
+def _by_value(support, step):
+    """The terms (i, c) grouped by value c, as two lists of (c, positions): near
+    holds the offsets -i of the terms with i < step, far the indices i >= step in
+    ascending order.  A value is listed only where it has terms.
 
     An inverter appending g_k reads g_(k-i) as g[-i].
     """
-    near = {}
+    near, far = {}, {}
     for i, c in support:
         if i < step:
             near.setdefault(c, []).append(-i)
-    return list(near.items())
+        else:
+            far.setdefault(c, []).append(i)
+    return list(near.items()), list(far.items())
 
 
 class _Series:
@@ -212,8 +220,8 @@ class _Series:
 
     def __pow__(self, exponent: int):
         """Repeated squaring; a negative exponent inverts, then raises."""
-        if not isinstance(exponent, int):
-            raise TypeError("series exponent must be an integer")
+        if type(exponent) is not int:
+            raise TypeError(f"series exponent must be an int, got {type(exponent).__name__}")
         if exponent < 0:
             return self.inverse() ** -exponent
         if exponent == 0:
@@ -284,20 +292,19 @@ class TruncatedSeries(_Series):
 
         g_k = -(f_1 g_(k-1) + ... + f_k g_0) / f_0 over the nonzero f_i only; each
         f_i is scaled by -1/f_0 once, so a unit lead keeps every step in ints.  The
-        g_k are produced in blocks of isqrt(len) coefficients.  A term c f_i with i
-        at least the block length reads only coefficients final before the block
-        starts, so it enters the block's accumulator as one slice: added for c = 1,
-        subtracted for c = -1, scaled then added otherwise.  Only the terms with i
-        below the block length are summed coefficient by coefficient, grouped by value.
+        g_k are produced in blocks of B = isqrt(len) coefficients, and the terms are
+        grouped by value c (see the module docstring).  A far term (i >= B) reads
+        only coefficients final before the block starts, a slice of B of them; the
+        slices of one value are added column by column and scaled by c once per
+        block.  The near terms (i < B) are summed coefficient by coefficient.
         """
         f = self._coeffs
         if f[0] == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
         inv0 = _normalize(Fraction(1) / f[0])
         step = math.isqrt(len(f))
-        support = [(i, _normalize(-inv0 * c)) for i, c in enumerate(f) if i and c]
-        far = [(i, c) for i, c in support if i >= step]
-        near = _near_by_value(support, step)
+        near, far = _by_value([(i, _normalize(-inv0 * c)) for i, c in enumerate(f) if i and c],
+                              step)
         # g[step + k] holds g_k, and the step zeros in front stand for g_k at k < 0,
         # so every window below is a full slice.
         g = [0] * step + [inv0]
@@ -305,16 +312,11 @@ class TruncatedSeries(_Series):
         for lo in range(1, len(f), step):
             hi = min(lo + step, len(f))       # this block is g_lo .. g_(hi-1)
             block = [0] * (hi - lo)
-            for i, c in far:
-                if i >= hi:
-                    break
-                window = g[step + lo - i:step + hi - i]     # g_(lo-i) .. g_(hi-1-i), all final
-                if c == 1:
-                    block = list(map(add, block, window))
-                elif c == -1:
-                    block = list(map(sub, block, window))
-                else:
-                    block = list(map(add, block, map(mul, repeat(c), window)))
+            for c, indices in far:
+                # g_(lo-i) .. g_(hi-1-i) for each term that reaches this block, all final
+                windows = [g[step + lo - i:step + hi - i] for i in indices if i < hi]
+                if windows:
+                    block = list(map(add, block, map(mul, repeat(c), map(sum, zip(*windows)))))
             for partial in block:
                 g.append(partial + sum([c * sum(map(back, offsets)) for c, offsets in near]))
         return TruncatedSeries(g[step:])
@@ -398,15 +400,17 @@ class ResidueSeries(_Series):
         substitution over packed blocks.
 
         g_k = c_1 g_(k-1) + ... + c_k g_0 with c_i = -f_i / f_0 mod m, over the nonzero
-        c_i only, each taken in (-m/2, m/2].  The g_k are produced in blocks of
-        B = isqrt(len) coefficients, and each finished block is kept as one int of
-        w-byte slots.  A term c_i with i >= B reads only finished blocks, so it enters
-        the next block as one window cut from at most two packed blocks (shift, or,
-        mask), added c_i times to an accumulator that starts at bound in every slot,
-        bound = sum_(i>=B) |c_i| (m-1).  Every slot then stays in [0, 2 bound], and w
-        is wide enough for that and for m - 1, so no slot borrows from the next; the
-        accumulator is unpacked once per block.  Only the terms with i < B are summed
-        coefficient by coefficient, and each g_k is reduced mod m once.
+        c_i only, each taken in (-m/2, m/2] and grouped by value (see the module
+        docstring).  The g_k are produced in blocks of B = isqrt(len) coefficients
+        from q^1 on, and each finished block is kept as one int of w-byte slots, as
+        is the run of B - 1 zeros and g_0 before the first.  A far term (i >= B)
+        reads one window of B finished values, cut from at most two packed ints
+        (shift, or, mask); the windows of one value are summed, then added c times
+        to an accumulator that starts at bound in every slot, bound = sum_(i>=B)
+        |c_i| (m-1).  Every slot then stays in [0, 2 bound], and w is wide enough
+        for that and for m - 1, so no slot borrows from the next; the accumulator is
+        unpacked once per block.  The near terms (i < B) are summed coefficient by
+        coefficient, and each g_k is reduced mod m once.
         """
         f, m = self._coeffs, self._modulus
         try:
@@ -416,41 +420,26 @@ class ResidueSeries(_Series):
                 f"constant term {f[0]} is not a unit mod {m}, so the series has no inverse"
             ) from None
         step = math.isqrt(len(f))
-        support = [(i, r - m if 2 * r > m else r)
-                   for i, c in enumerate(f) if i and (r := -inv0 * c % m)]
-        far = [(i, c) for i, c in support if i >= step]
-        near = _near_by_value(support, step)
-        bound = sum(abs(c) for _, c in far) * (m - 1)
+        near, far = _by_value([(i, r - m if 2 * r > m else r)
+                               for i, c in enumerate(f) if i and (r := -inv0 * c % m)], step)
+        bound = sum(abs(c) * len(indices) for c, indices in far) * (m - 1)
         width = (max(2 * bound, m).bit_length() + 7) // 8
         bits = width * 8
         mask = (1 << step * bits) - 1
         bias = int.from_bytes(bound.to_bytes(width, "little") * step, "little")
         # g[step + k] holds g_k, and the step zeros in front stand for g_k at k < 0.
-        # packed[j] holds g_(j step) .. g_(j step + step - 1), g_(j step + s) in slot s.
-        g = [0] * step
+        # packed[j] holds g_((j-1) step + 1) .. g_(j step), g_((j-1) step + 1 + s) in slot s.
+        g = [0] * step + [inv0]
         back = g.__getitem__
-        packed = []
-        for lo in range(0, len(f), step):
+        packed = [inv0 << (step - 1) * bits]
+        for lo in range(1, len(f), step):
             hi = min(lo + step, len(f))         # this block is g_lo .. g_(hi-1)
-            # g_0 = 1/f_0 rides in slot 0; it fits, as bound is 0 or at least m - 1.
-            acc = bias if lo else bias + inv0
-            for i, c in far:
-                if i >= hi:
-                    break
-                start = lo - i                  # the window is g_start .. g_(start+step-1)
-                j, s = divmod(start, step)
-                if start < 0:                   # g_0 .. g_(start+step-1), shifted up
-                    window = packed[0] << -start * bits & mask
-                elif s:                         # the top of packed[j], the bottom of packed[j+1]
-                    window = packed[j] >> s * bits | packed[j + 1] << (step - s) * bits & mask
-                else:
-                    window = packed[j]
-                if c == 1:
-                    acc += window
-                elif c == -1:
-                    acc -= window
-                else:
-                    acc += c * window
+            acc = bias
+            for c, indices in far:
+                # g_(lo-i) .. g_(lo-i+step-1) starts in slot s of packed[j]
+                cuts = [divmod(lo - i + step - 1, step) for i in indices if i < hi]
+                acc += c * sum([packed[j] >> s * bits | packed[j + 1] << (step - s) * bits & mask
+                                if s else packed[j] for j, s in cuts])
             raw = acc.to_bytes(step * width, "little")
             for at in range(0, (hi - lo) * width, width):
                 partial = int.from_bytes(raw[at:at + width], "little") - bound

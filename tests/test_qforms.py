@@ -162,6 +162,19 @@ class TestCatalog:
         with pytest.raises(TypeError, match="order must be an int, got bool"):
             catalog_for(True)
 
+    @pytest.mark.parametrize("bad, good", [
+        ((2.0, 10), (2, 10)), ((True, 10), (1, 10)), ((Fraction(2), 10), (2, 10)),
+        ((1, 10, 5.0), (1, 10, 5)), ((1, 10, True), (1, 10, 5)), ((-1, 10, 2.0), (-1, 10, 2)),
+    ], ids=["float", "bool", "fraction", "float_modulus", "bool_modulus", "float_modulus_2"])
+    def test_non_int_exponent_or_modulus_rejected(self, bad, good):
+        name = type(bad[2] if len(bad) > 2 else bad[0]).__name__
+        catalog_for.cache_clear()
+        with pytest.raises(TypeError, match=f"must be an int, got {name}"):
+            p_alpha(*bad)           # cold catalog
+        p_alpha(*good)
+        with pytest.raises(TypeError, match=f"must be an int, got {name}"):
+            p_alpha(*bad)           # warm: the equal key is cached
+
     def test_partition_is_the_first_power(self):
         cat = QFormCatalog(30)
         assert cat.partition is cat.power(1)

@@ -236,6 +236,12 @@ class TestPow:
         with pytest.raises(TypeError):
             S(1, 1) ** Fraction(1, 2)
 
+    def test_bool_exponent_rejected(self):
+        with pytest.raises(TypeError, match="must be an int, got bool"):
+            S(1, 1) ** True
+        with pytest.raises(TypeError, match="must be an int, got bool"):
+            ResidueSeries([1, 1], 5) ** False
+
 
 class TestQDerivative:
     def test_kills_constants(self):
@@ -356,7 +362,9 @@ def inverse_inputs(draw):
     Blocks are isqrt(order + 1) coefficients long, so a support index just below,
     at and just above each multiple of that length lands on both sides of an edge.
     Sparse supports reach order 300; dense ones stop at 100, where a non-unit lead
-    already gives coefficients of a hundred digits.
+    already gives coefficients of a hundred digits.  A sparse support sometimes
+    shares one value other than 0 and +-1, an int or a Fraction, so that one value
+    holds several far terms, summed together before they are scaled.
     """
     dense = draw(st.booleans())
     order = draw(st.one_of(st.integers(0, 3), st.integers(4, 100 if dense else 300)))
@@ -367,6 +375,8 @@ def inverse_inputs(draw):
     else:
         values = st.one_of(st.sampled_from([1, -1]), st.integers(-10 ** 6, 10 ** 6),
                            st.fractions(min_value=-5, max_value=5, max_denominator=7))
+        if draw(st.booleans()):
+            values = st.just(draw(values.filter(lambda c: c not in (0, 1, -1))))
         edges = sorted({j for m in range(1, order // step + 2) for j in (m * step - 1,
                         m * step, m * step + 1) if 1 <= j <= order})
         indices = draw(st.sets(st.one_of(st.sampled_from(edges), st.integers(1, order)),
