@@ -15,10 +15,7 @@ from .bps import (ClassData, a_general, b_general, decompositions_for,
                   a_direct_series, b_direct_series,
                   a_closed_series, b_closed_series, b_intermediate_series,
                   brace_series)
-from .congruence import (CongruenceCheck, CHECK_NAMES,
-                         check_mod10, check_mod5_reduction, check_support_lemma,
-                         check_support_consequence, check_mod2_reduction,
-                         check_parity_factor, run_all,
+from .congruence import (CongruenceCheck, CHECK_NAMES, check, run_all,
                          DEFAULT_COMPOSITE_ORDER, DEFAULT_SUPPORT_ORDER)
 
 __version__ = "0.1.0"
@@ -32,9 +29,7 @@ __all__ = [
     "a_direct_series", "b_direct_series",
     "a_closed_series", "b_closed_series", "b_intermediate_series",
     "brace_series",
-    "CongruenceCheck", "CHECK_NAMES",
-    "check_mod10", "check_mod5_reduction", "check_support_lemma",
-    "check_support_consequence", "check_mod2_reduction", "check_parity_factor",
-    "run_all", "DEFAULT_COMPOSITE_ORDER", "DEFAULT_SUPPORT_ORDER",
+    "CongruenceCheck", "CHECK_NAMES", "check", "run_all",
+    "DEFAULT_COMPOSITE_ORDER", "DEFAULT_SUPPORT_ORDER",
     "__version__",
 ]

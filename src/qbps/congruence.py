@@ -1,35 +1,56 @@
 """Machine checks of the mod-10 divisibility of 7G^2 - G + DG and its proof steps.
 
-Each check scans a series for its first offending index; reduction mod m is a
-ring morphism, so reducing the exact brace or building P^alpha in Z/m loses
-nothing.  The composite claim factors through independent mod-5 and mod-2 routes:
-
-  mod 5: the brace reduces to 3 P_{-2} (D^2 - D) P_2, and (D^2 - D) P_2
-         vanishes because the coefficients of P_2 are supported on indices
-         congruent to 0 or 1 mod 5 (where k^2 = k holds mod 5);
-  mod 2: the brace reduces to P_{-1} (D^2 + D) P, whose k-th coefficient
-         k(k+1)p(k) is even as a product of consecutive integers.
+Reduction mod m is a ring morphism, so reducing the exact brace 7G^2 - G + DG
+or building P^alpha in Z/m loses nothing.  The composite claim factors through
+independent mod-5 and mod-2 routes: mod 5 the brace is 3 P_{-2} (D^2 - D) P_2,
+which vanishes because P_2 lives on indices 0 or 1 mod 5, where k^2 = k; mod 2
+it is P_{-1} (D^2 + D) P, whose k-th coefficient k(k+1)p(k) is even.  The exact
+rows replay what the proof leans on: route equalities for a and b, their
+integrality, and the logarithmic-derivative identities behind the closed forms.
 
 The brace rows (mod10 and the left sides of mod5_reduction and mod2_reduction)
 reduce the exact brace_series, built once per order from the sieve G.  The
-right sides read P^alpha mod m from the catalog, p_alpha(alpha, order, m),
-built in Z/m: Euler's pentagonal P^-1 reduced mod m, its residue inverse for P,
-and powers of those two.  No residue row builds exact P, and none builds P mod 5
-from Frobenius, (P mod 5)^5 = P(q^5), the support lemma's own proof mechanism.
+right sides read P^alpha mod m from p_alpha(alpha, order, m), built in Z/m:
+Euler's pentagonal P^-1 reduced mod m, its residue inverse for P, and powers of
+those two.  No residue row builds exact P, and none builds P mod 5 from
+Frobenius, (P mod 5)^5 = P(q^5), the support lemma's own proof mechanism.
 parity_factor alone keeps exact P, since it pins the exact value k(k+1)p(k).
 
-Alongside the residue checks, run_all replays the exact-arithmetic facts the
-proof leans on: route equalities for a and b, their integrality, and the
-logarithmic-derivative identities feeding the closed forms.
+All 13 checks are rows of one table, name -> (modulus, build), in this order:
 
-All 13 checks are rows of one table, name -> (modulus, build).  build(order)
-returns the series to scan and its failure rule: rule(k, c) is None for a good
-coefficient c of q^k, else the value to report.  Most rows scan a series that
-must vanish; the support lemma objects only at forbidden indices, the
-integrality rows only at fractions.  One scanner, _run, turns any row into its
-CongruenceCheck.  A row with a modulus is a congruence check and accepts an
-optional single-coefficient perturbation, so tests can confirm that failure
-reporting points at exactly the damaged index.
+  mod10                10     7G^2 - G + DG vanishes identically mod 10
+  mod5_reduction       5      mod 5 the brace equals 3 P_{-2} (D^2 - D) P_2
+  support_lemma        5      P_2 mod 5 vanishes at the indices 2, 3 and 4 mod 5
+  support_consequence  5      (D^2 - D) P_2 vanishes mod 5: on the support, k^2 = k
+  mod2_reduction       2      mod 2 the brace equals P_{-1} (D^2 + D) P
+  parity_factor        2      coefficient k of (D^2 + D) P is exactly k(k+1)p(k), and even
+  a_routes             exact  the direct a(beta_n) equal A = -P^12 G
+  b_routes             exact  the direct b(beta_n) equal B = (1/10) P^12 (7G^2 - G + DG)
+  b_intermediate       exact  the half-simplified b, which pins the reindexing, equals B
+  a_integrality        exact  every coefficient of A is an integer
+  b_integrality        exact  every coefficient of B is an integer
+  g_identity           exact  Euler's logarithmic derivative, G = P^-1 DP
+  p12_identity         exact  D(P^12) = 12 P^12 G, scanned as D(P^12) + 12A
+
+Some rows catch less than they state:
+
+  * support_lemma is one-directional: residues at indices 0 or 1 mod 5 are free.
+  * mod2_reduction: the right side is 0 mod 2 for every integer series P, as
+    k(k+1)p(k) is even, so the row scans the brace mod 2 and no fault in P shows.
+  * parity_factor compares P with itself, and k(k+1) is even, so no fault in P
+    can make it fail; only a fault in qd can.
+  * a_integrality: A is a product of two integer series, integral by
+    construction, so no fault in P or G can make it fail.
+  * p12_identity: on this surface a_direct_n = -(n/12) N0_n with N0 = P^12, so
+    D(P^12) = -12 a_direct: the row scans exactly -12 times the series a_routes
+    scans, and passes exactly when a_routes does.
+
+build(order) returns the series to scan and its failure rule: rule(k, c) is
+None for a good coefficient c of q^k, else the value to report.  One scanner,
+check(name, order), turns any row into its CongruenceCheck; run_all runs a
+selection.  A row with a modulus is a congruence check and accepts an optional
+single-coefficient perturbation, so tests can confirm that failure reporting
+points at exactly the damaged index.
 """
 
 from __future__ import annotations
@@ -44,10 +65,8 @@ from .bps import (
 )
 
 __all__ = [
-    "CongruenceCheck", "CHECK_NAMES",
-    "check_mod10", "check_mod5_reduction", "check_support_lemma",
-    "check_support_consequence", "check_mod2_reduction", "check_parity_factor",
-    "run_all", "DEFAULT_COMPOSITE_ORDER", "DEFAULT_SUPPORT_ORDER",
+    "CongruenceCheck", "CHECK_NAMES", "check", "run_all",
+    "DEFAULT_COMPOSITE_ORDER", "DEFAULT_SUPPORT_ORDER",
 ]
 
 # Recommended sweep depths for a bare run_all(), which then takes well under a
@@ -113,6 +132,8 @@ def _mod2_reduction(order: int):
 
 
 def _parity_factor(order: int):
+    # Checked over the integers: a failure reports the exact coefficient where
+    # it misses k(k+1)p(k), else its parity.
     p = partition_series(order)
 
     def rule(k, actual):
@@ -155,61 +176,6 @@ _CHECKS = {
 CHECK_NAMES = tuple(_CHECKS)
 
 
-def _run(name: str, order: int, perturbation: Perturbation | None) -> CongruenceCheck:
-    """Build the row's series, perturb it, and report its first offending index."""
-    modulus, build = _CHECKS[name]
-    series, rule = build(order)
-    if perturbation is not None:
-        index, delta = perturbation
-        series = series.with_coefficient(index, series[index] + delta)
-    # Mixed-order arithmetic truncates silently, so a short series would still
-    # pass; refuse any scan that does not reach the requested depth.
-    if series.order != order:
-        raise RuntimeError(f"check {name} swept order {series.order}, not the requested {order}")
-    failure = next(((k, value) for k, c in enumerate(series.coefficients)
-                    if (value := rule(k, c)) is not None), None)
-    return CongruenceCheck(name, modulus, order, failure is None, failure)
-
-
-def check_mod10(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
-    """7G^2 - G + DG vanishes identically mod 10."""
-    return _run("mod10", order, perturbation)
-
-
-def check_mod5_reduction(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
-    """Mod 5 the brace equals 3 P_{-2} (D^2 - D) P_2."""
-    return _run("mod5_reduction", order, perturbation)
-
-
-def check_support_lemma(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
-    """Coefficients of P_2 are divisible by 5 except at indices 0 or 1 mod 5.
-
-    One-directional: residues at permitted indices are unconstrained.
-    """
-    return _run("support_lemma", order, perturbation)
-
-
-def check_support_consequence(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
-    """(D^2 - D) P_2 vanishes mod 5: on the support, the index satisfies k^2 = k."""
-    return _run("support_consequence", order, perturbation)
-
-
-def check_mod2_reduction(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
-    """Mod 2 the brace equals P_{-1} (D^2 + D) P."""
-    return _run("mod2_reduction", order, perturbation)
-
-
-def check_parity_factor(order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
-    """The k-th coefficient of (D^2 + D) P is exactly k(k+1)p(k), and is even.
-
-    Checked over the integers, not residues: the identity half pins the
-    coefficient value, the parity half is what the mod-2 route consumes.
-    On failure the payload carries the exact coefficient (identity half) or
-    its parity (evenness half).
-    """
-    return _run("parity_factor", order, perturbation)
-
-
 def _selected_names(names) -> set[str]:
     """The checks to run: all for None, else a collection of known check names."""
     if names is None:
@@ -222,6 +188,36 @@ def _selected_names(names) -> set[str]:
         raise ValueError(f"unknown check name(s): {', '.join(unknown)}; "
                          f"known: {', '.join(CHECK_NAMES)}")
     return selected
+
+
+def _perturbable(names) -> None:
+    """Refuse a perturbation of anything but a congruence check."""
+    refused = sorted(set(names) - {n for n, (m, _) in _CHECKS.items() if m})
+    if refused:
+        raise ValueError(
+            f"perturbation only applies to congruence checks, not: {', '.join(refused)}")
+
+
+def check(name: str, order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
+    """Run one check by name: build its series, perturb it, scan it to order.
+
+    An unknown name, or a perturbation of an exact check, raises ValueError.
+    """
+    _selected_names([name])
+    if perturbation is not None:
+        _perturbable([name])
+    modulus, build = _CHECKS[name]
+    series, rule = build(order)
+    if perturbation is not None:
+        index, delta = perturbation
+        series = series.with_coefficient(index, series[index] + delta)
+    # Mixed-order arithmetic truncates silently, so a short series would still
+    # pass; refuse any scan that does not reach the requested depth.
+    if series.order != order:
+        raise RuntimeError(f"check {name} swept order {series.order}, not the requested {order}")
+    failure = next(((k, value) for k, c in enumerate(series.coefficients)
+                    if (value := rule(k, c)) is not None), None)
+    return CongruenceCheck(name, modulus, order, failure is None, failure)
 
 
 def run_all(order: int | None = None, support_order: int | None = None,
@@ -243,9 +239,7 @@ def run_all(order: int | None = None, support_order: int | None = None,
         support_order = order
     selected = _selected_names(names)
     perturbations = dict(perturbations or {})
-    not_perturbable = sorted(set(perturbations) - {n for n, (m, _) in _CHECKS.items() if m})
-    if not_perturbable:
-        raise ValueError(
-            f"perturbation only applies to congruence checks, not: {', '.join(not_perturbable)}")
-    return [_run(name, support_order if name == "support_lemma" else order, perturbations.get(name))
+    _perturbable(perturbations)
+    return [check(name, support_order if name == "support_lemma" else order,
+                  perturbations.get(name))
             for name in CHECK_NAMES if name in selected]

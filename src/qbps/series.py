@@ -55,6 +55,15 @@ def _normalize(value) -> Coefficient:
     raise TypeError(f"exact coefficient required (int or Fraction), got {type(value).__name__}")
 
 
+def _checked_modulus(modulus) -> int:
+    """The modulus itself, once it is known to be a plain int of at least 2."""
+    if type(modulus) is not int:
+        raise TypeError(f"modulus must be an int, got {type(modulus).__name__}")
+    if modulus < 2:
+        raise ValueError("modulus must be at least 2")
+    return modulus
+
+
 def _over_common_denominator(coeffs):
     """Integers over one denominator d, the lcm of the denominators: coeffs[k] = ints[k] / d."""
     d = math.lcm(*(c.denominator for c in coeffs))
@@ -326,8 +335,7 @@ class TruncatedSeries(_Series):
 
         Fails if any coefficient's reduced denominator shares a factor with m.
         """
-        if modulus < 2:
-            raise ValueError("modulus must be at least 2")
+        _checked_modulus(modulus)
         if {int}.issuperset(map(type, self._coeffs)):
             return ResidueSeries(self._coeffs, modulus)
         residues = []
@@ -368,9 +376,7 @@ class ResidueSeries(_Series):
     _product = staticmethod(_convolution)    # the constructor reduces mod m
 
     def __init__(self, coeffs, modulus: int, order: int | None = None):
-        if not isinstance(modulus, int) or modulus < 2:
-            raise ValueError("modulus must be an integer >= 2")
-        self._modulus = modulus
+        self._modulus = _checked_modulus(modulus)
         super().__init__(coeffs, order)
 
     def _coerce(self, value) -> int:
@@ -399,18 +405,18 @@ class ResidueSeries(_Series):
         """Multiplicative inverse in Z/m up to the truncation order, by blocked forward
         substitution over packed blocks.
 
-        g_k = c_1 g_(k-1) + ... + c_k g_0 with c_i = -f_i / f_0 mod m, over the nonzero
-        c_i only, each taken in (-m/2, m/2] and grouped by value (see the module
-        docstring).  The g_k are produced in blocks of B = isqrt(len) coefficients
-        from q^1 on, and each finished block is kept as one int of w-byte slots, as
-        is the run of B - 1 zeros and g_0 before the first.  A far term (i >= B)
-        reads one window of B finished values, cut from at most two packed ints
-        (shift, or, mask); the windows of one value are summed, then added c times
-        to an accumulator that starts at bound in every slot, bound = sum_(i>=B)
-        |c_i| (m-1).  Every slot then stays in [0, 2 bound], and w is wide enough
-        for that and for m - 1, so no slot borrows from the next; the accumulator is
-        unpacked once per block.  The near terms (i < B) are summed coefficient by
-        coefficient, and each g_k is reduced mod m once.
+        g_k = c_1 g_(k-1) + ... + c_k g_0 with c_i = -f_i / f_0 mod m in [0, m), over
+        the nonzero c_i only, grouped by value (see the module docstring).  The g_k
+        are produced in blocks of B = isqrt(len) coefficients from q^1 on, and each
+        finished block is kept as one int of w-byte slots, as is the run of B - 1
+        zeros and g_0 before the first.  A far term (i >= B) reads one window of B
+        finished values, cut from at most two packed ints (shift, or, mask); the
+        windows of one value are summed, then added c times to an accumulator that
+        starts at 0.  Every slot then stays in [0, bound], bound = sum_(i>=B) c_i
+        (m-1), and w is wide enough for that and for m - 1, so no slot carries into
+        the next; the accumulator is unpacked once per block.  The near terms
+        (i < B) are summed coefficient by coefficient, and each g_k is reduced mod m
+        once.
         """
         f, m = self._coeffs, self._modulus
         try:
@@ -420,13 +426,12 @@ class ResidueSeries(_Series):
                 f"constant term {f[0]} is not a unit mod {m}, so the series has no inverse"
             ) from None
         step = math.isqrt(len(f))
-        near, far = _by_value([(i, r - m if 2 * r > m else r)
-                               for i, c in enumerate(f) if i and (r := -inv0 * c % m)], step)
-        bound = sum(abs(c) * len(indices) for c, indices in far) * (m - 1)
-        width = (max(2 * bound, m).bit_length() + 7) // 8
+        near, far = _by_value([(i, r) for i, c in enumerate(f) if i and (r := -inv0 * c % m)],
+                              step)
+        bound = sum(c * len(indices) for c, indices in far) * (m - 1)
+        width = (max(bound, m).bit_length() + 7) // 8
         bits = width * 8
         mask = (1 << step * bits) - 1
-        bias = int.from_bytes(bound.to_bytes(width, "little") * step, "little")
         # g[step + k] holds g_k, and the step zeros in front stand for g_k at k < 0.
         # packed[j] holds g_((j-1) step + 1) .. g_(j step), g_((j-1) step + 1 + s) in slot s.
         g = [0] * step + [inv0]
@@ -434,7 +439,7 @@ class ResidueSeries(_Series):
         packed = [inv0 << (step - 1) * bits]
         for lo in range(1, len(f), step):
             hi = min(lo + step, len(f))         # this block is g_lo .. g_(hi-1)
-            acc = bias
+            acc = 0
             for c, indices in far:
                 # g_(lo-i) .. g_(lo-i+step-1) starts in slot s of packed[j]
                 cuts = [divmod(lo - i + step - 1, step) for i in indices if i < hi]
@@ -442,7 +447,7 @@ class ResidueSeries(_Series):
                                 if s else packed[j] for j, s in cuts])
             raw = acc.to_bytes(step * width, "little")
             for at in range(0, (hi - lo) * width, width):
-                partial = int.from_bytes(raw[at:at + width], "little") - bound
+                partial = int.from_bytes(raw[at:at + width], "little")
                 g.append((partial + sum([c * sum(map(back, offsets)) for c, offsets in near])) % m)
             packed.append(int.from_bytes(
                 b"".join([v.to_bytes(width, "little") for v in g[step + lo:]]), "little"))

@@ -18,8 +18,7 @@ from qbps.bps import (
     brace_series, decompositions_for,
 )
 from qbps.congruence import (
-    run_all, check_mod10, check_mod5_reduction, check_support_lemma,
-    check_support_consequence, check_mod2_reduction, check_parity_factor,
+    run_all, check,
 )
 
 
@@ -56,7 +55,7 @@ def test_criterion_2_integrality_and_spot_values():
 
 def test_criterion_3_mod10_sweep_to_order_1000():
     failures = []
-    result = check_mod10(1000)
+    result = check("mod10", 1000)
     if not result.passed:
         failures.append(f"mod-10 sweep failed at {result.first_failure}")
     if brace_series(2).coefficient(2) != 10:
@@ -68,11 +67,11 @@ def test_criterion_4_proof_step_checks():
     failures = []
     started = time.monotonic()
     step_results = [
-        check_mod5_reduction(500),
-        check_support_consequence(500),
-        check_mod2_reduction(500),
-        check_parity_factor(500),
-        check_support_lemma(5000),
+        check("mod5_reduction", 500),
+        check("support_consequence", 500),
+        check("mod2_reduction", 500),
+        check("parity_factor", 500),
+        check("support_lemma", 5000),
     ]
     elapsed = time.monotonic() - started
     for result in step_results:
@@ -160,10 +159,10 @@ def test_criterion_7_property_suites_and_crt():
             failures.append(f"pow additivity broke on trial {trial}")
             break
     order = 500
-    components = [check_mod5_reduction(order), check_support_consequence(order),
-                  check_mod2_reduction(order)]
+    components = [check("mod5_reduction", order), check("support_consequence", order),
+                  check("mod2_reduction", order)]
     if all(r.passed for r in components):
-        if not check_mod10(order).passed:
+        if not check("mod10", order).passed:
             failures.append("components pass mod 5 and mod 2 but composite mod 10 fails")
     else:
         failures.append("a component check failed, CRT meta-test vacuous")
@@ -173,18 +172,18 @@ def test_criterion_7_property_suites_and_crt():
 def test_criterion_8_mutation_sensitivity():
     failures = []
     cases = [
-        (check_mod10, 10, 137, 3),
-        (check_mod5_reduction, 5, 88, 2),
-        (check_support_lemma, 5, 92, 1),       # 92 = 2 mod 5: a forbidden index
-        (check_support_consequence, 5, 61, 4),
-        (check_mod2_reduction, 2, 45, 1),
+        ("mod10", 10, 137, 3),
+        ("mod5_reduction", 5, 88, 2),
+        ("support_lemma", 5, 92, 1),       # 92 = 2 mod 5: a forbidden index
+        ("support_consequence", 5, 61, 4),
+        ("mod2_reduction", 2, 45, 1),
     ]
-    for check, modulus, index, delta in cases:
-        result = check(200, perturbation=(index, delta))
+    for name, modulus, index, delta in cases:
+        result = check(name, 200, perturbation=(index, delta))
         if result.passed or result.first_failure != (index, delta % modulus):
-            failures.append(f"{check.__name__}: expected failure at "
+            failures.append(f"{name}: expected failure at "
                             f"({index}, {delta % modulus}), got {result.first_failure}")
-    parity = check_parity_factor(200, perturbation=(33, 5))
+    parity = check("parity_factor", 200, perturbation=(33, 5))
     expected_value = 33 * 34 * partition_series(40).coefficient(33) + 5
     if parity.passed or parity.first_failure != (33, expected_value):
         failures.append(f"parity factor: got {parity.first_failure}")

@@ -4,20 +4,38 @@ from fractions import Fraction
 
 import pytest
 
-from qbps import bps
+import qbps
+from qbps import bps, congruence, gw, qforms, series
 from qbps.series import ResidueSeries, TruncatedSeries, qd
 from qbps.qforms import catalog_for, g_series, p_alpha, partition_series
 from qbps.congruence import (
-    CongruenceCheck, CHECK_NAMES,
-    check_mod10, check_mod5_reduction, check_support_lemma,
-    check_support_consequence, check_mod2_reduction, check_parity_factor,
+    CongruenceCheck, CHECK_NAMES, check,
     run_all, DEFAULT_COMPOSITE_ORDER, DEFAULT_SUPPORT_ORDER,
 )
 
 
+class TestCheckByName:
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_matches_run_all(self, name):
+        assert check(name, 40) == run_all(order=40, names=[name])[0]
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown check name.*known: mod10"):
+            check("bogus", 10)
+
+    def test_perturbing_exact_check_rejected(self):
+        with pytest.raises(ValueError, match="only applies to congruence checks, not: a_routes"):
+            check("a_routes", 10, (1, 1))
+
+    @pytest.mark.parametrize("module", [qbps, series, qforms, gw, bps, congruence],
+                             ids=lambda module: module.__name__)
+    def test_every_exported_name_resolves(self, module):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
 class TestResultType:
     def test_fields(self):
-        r = check_mod10(10)
+        r = check("mod10", 10)
         assert r.name == "mod10"
         assert r.modulus == 10
         assert r.order == 10
@@ -33,10 +51,10 @@ class TestResultType:
 
 class TestMod10:
     def test_passes_at_depth(self):
-        assert check_mod10(300).passed
+        assert check("mod10", 300).passed
 
     def test_passes_at_order_zero(self):
-        assert check_mod10(0).passed
+        assert check("mod10", 0).passed
 
     def test_doubled_derivative_term_breaks_it(self):
         # 7G^2 - G + 2DG: the q^1 coefficient is -sigma(1) + 2*sigma(1) = 1,
@@ -49,10 +67,10 @@ class TestMod10:
 
 class TestMod5Reduction:
     def test_passes_at_depth(self):
-        assert check_mod5_reduction(200).passed
+        assert check("mod5_reduction", 200).passed
 
     def test_passes_at_order_zero(self):
-        assert check_mod5_reduction(0).passed
+        assert check("mod5_reduction", 0).passed
 
     def test_right_side_vanishes_so_scaling_it_cannot_fail(self):
         # P_{-2} (D^2 - D) P_2 is itself 0 mod 5 (the support lemma forces the
@@ -71,7 +89,7 @@ class TestMod5Reduction:
 
 class TestSupportLemma:
     def test_passes_at_depth(self):
-        assert check_support_lemma(500).passed
+        assert check("support_lemma", 500).passed
 
     def test_forbidden_indices_vanish(self):
         p2 = p_alpha(2, 30)
@@ -84,12 +102,12 @@ class TestSupportLemma:
     def test_permitted_indices_are_unconstrained(self):
         # p_2(5) = 36 is 1 mod 5 and index 5 is permitted; not a failure
         assert p_alpha(2, 5).coefficient(5) == 36
-        assert check_support_lemma(5).passed
+        assert check("support_lemma", 5).passed
 
 
 class TestSupportConsequence:
     def test_passes_at_depth(self):
-        assert check_support_consequence(200).passed
+        assert check("support_consequence", 200).passed
 
     def test_single_index_witnesses(self):
         p2 = p_alpha(2, 10)
@@ -102,15 +120,15 @@ class TestSupportConsequence:
 
 class TestMod2Reduction:
     def test_passes_at_depth(self):
-        assert check_mod2_reduction(200).passed
+        assert check("mod2_reduction", 200).passed
 
     def test_passes_at_order_zero(self):
-        assert check_mod2_reduction(0).passed
+        assert check("mod2_reduction", 0).passed
 
 
 class TestParityFactor:
     def test_passes_at_depth(self):
-        assert check_parity_factor(300).passed
+        assert check("parity_factor", 300).passed
 
     def test_coefficient_formula_witnesses(self):
         p = partition_series(5)
@@ -123,28 +141,28 @@ class TestParityFactor:
 class TestFailureReporting:
     def test_zero_scan_checks_point_at_damaged_index(self):
         cases = [
-            (check_mod10, 10, 41, 3),
-            (check_mod5_reduction, 5, 88, 2),
-            (check_support_consequence, 5, 61, 4),
-            (check_mod2_reduction, 2, 45, 1),
+            ("mod10", 10, 41, 3),
+            ("mod5_reduction", 5, 88, 2),
+            ("support_consequence", 5, 61, 4),
+            ("mod2_reduction", 2, 45, 1),
         ]
-        for check, modulus, index, delta in cases:
-            result = check(100, perturbation=(index, delta))
+        for name, modulus, index, delta in cases:
+            result = check(name, 100, perturbation=(index, delta))
             assert not result.passed
             assert result.first_failure == (index, delta % modulus), result
 
     def test_support_lemma_damaged_at_forbidden_index(self):
-        result = check_support_lemma(100, perturbation=(92, 1))  # 92 = 2 mod 5
+        result = check("support_lemma", 100, perturbation=(92, 1))  # 92 = 2 mod 5
         assert not result.passed
         assert result.first_failure == (92, 1)
 
     def test_support_lemma_damage_at_permitted_index_is_invisible(self):
-        assert check_support_lemma(100, perturbation=(95, 2)).passed  # 95 = 0 mod 5
+        assert check("support_lemma", 100, perturbation=(95, 2)).passed  # 95 = 0 mod 5
 
     def test_parity_factor_reports_exact_offender(self):
         p = partition_series(40)
         expected = 33 * 34 * p.coefficient(33)
-        result = check_parity_factor(40, perturbation=(33, 5))
+        result = check("parity_factor", 40, perturbation=(33, 5))
         assert not result.passed
         assert result.first_failure == (33, expected + 5)
 
@@ -168,23 +186,23 @@ class TestFailureReporting:
 
     def test_unperturbed_prefix_stays_clean(self):
         # damage deep, scan reports nothing earlier
-        result = check_mod10(200, perturbation=(199, 9))
+        result = check("mod10", 200, perturbation=(199, 9))
         assert result.first_failure == (199, 9)
 
 
 class TestMonotonicity:
     def test_mod10_passes_at_every_smaller_order(self):
         for order in (0, 1, 10, 25, 40):
-            assert check_mod10(order).passed
+            assert check("mod10", order).passed
 
 
 class TestCrtMeta:
     def test_component_passes_force_composite_pass(self):
         order = 150
-        assert check_mod5_reduction(order).passed
-        assert check_support_consequence(order).passed
-        assert check_mod2_reduction(order).passed
-        assert check_mod10(order).passed
+        assert check("mod5_reduction", order).passed
+        assert check("support_consequence", order).passed
+        assert check("mod2_reduction", order).passed
+        assert check("mod10", order).passed
 
     def test_residues_reconstruct_mod_ten(self):
         order = 150
@@ -246,15 +264,15 @@ class TestRunAll:
 
     @pytest.mark.parametrize("name, built, sweep", [
         ("mod10", bps.brace_series, lambda: run_all(order=50, names=["mod10"])),
-        ("mod10", bps.brace_series, lambda: check_mod10(50)),
-        ("support_lemma", p_alpha, lambda: check_support_lemma(50)),
-        ("parity_factor", partition_series, lambda: check_parity_factor(50)),
-        ("mod5_reduction", p_alpha, lambda: check_mod5_reduction(50)),
-        ("support_consequence", p_alpha, lambda: check_support_consequence(50)),
-        ("mod2_reduction", p_alpha, lambda: check_mod2_reduction(50)),
+        ("mod10", bps.brace_series, lambda: check("mod10", 50)),
+        ("support_lemma", p_alpha, lambda: check("support_lemma", 50)),
+        ("parity_factor", partition_series, lambda: check("parity_factor", 50)),
+        ("mod5_reduction", p_alpha, lambda: check("mod5_reduction", 50)),
+        ("support_consequence", p_alpha, lambda: check("support_consequence", 50)),
+        ("mod2_reduction", p_alpha, lambda: check("mod2_reduction", 50)),
         ("g_identity", partition_series, lambda: run_all(order=50, names=["g_identity"])),
-    ], ids=["run_all", "check_mod10", "check_support_lemma", "check_parity_factor",
-            "check_mod5_reduction", "check_support_consequence", "check_mod2_reduction",
+    ], ids=["run_all", "check-mod10", "check-support_lemma", "check-parity_factor",
+            "check-mod5_reduction", "check-support_consequence", "check-mod2_reduction",
             "g_identity"])
     def test_short_sweep_rejected(self, monkeypatch, name, built, sweep):
         if built is p_alpha:        # the residue rows ask for (alpha, order, modulus)
@@ -293,7 +311,7 @@ class TestRunAll:
 
         catalog_for.cache_clear()
         monkeypatch.setattr(TruncatedSeries, "inverse", refused)
-        assert check_support_lemma(300).passed
+        assert check("support_lemma", 300).passed
 
     def test_default_depth_constants(self):
         assert DEFAULT_COMPOSITE_ORDER == 1000

@@ -434,6 +434,16 @@ class TestResidueSeries:
         with pytest.raises(ValueError):
             ResidueSeries([1], 1)
 
+    @pytest.mark.parametrize("modulus", [5.0, True], ids=["float", "bool"])
+    def test_non_int_modulus_is_a_type_error(self, modulus):
+        message = f"modulus must be an int, got {type(modulus).__name__}"
+        with pytest.raises(TypeError, match=message):
+            ResidueSeries([1, 2], modulus)
+        with pytest.raises(TypeError, match=message):
+            S(1, 2).reduce_mod(modulus)
+        with pytest.raises(TypeError, match=message):
+            S(Fraction(1, 3), 2).reduce_mod(modulus)
+
     def test_modulus_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ResidueSeries([1], 5) + ResidueSeries([1], 7)
