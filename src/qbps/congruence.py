@@ -183,7 +183,7 @@ def _selected_names(names) -> set[str]:
     if isinstance(names, str):
         raise TypeError(f"check names must be a collection of names, not the string {names!r}")
     selected = set(names)
-    unknown = sorted(selected.difference(CHECK_NAMES))
+    unknown = sorted(map(str, selected.difference(CHECK_NAMES)))
     if unknown:
         raise ValueError(f"unknown check name(s): {', '.join(unknown)}; "
                          f"known: {', '.join(CHECK_NAMES)}")
@@ -192,7 +192,7 @@ def _selected_names(names) -> set[str]:
 
 def _perturbable(names) -> None:
     """Refuse a perturbation of anything but a congruence check."""
-    refused = sorted(set(names) - {n for n, (m, _) in _CHECKS.items() if m})
+    refused = sorted(map(str, set(names) - {n for n, (m, _) in _CHECKS.items() if m}))
     if refused:
         raise ValueError(
             f"perturbation only applies to congruence checks, not: {', '.join(refused)}")

@@ -13,17 +13,19 @@ stdlib decimal module, which multiplies huge operands by a number-theoretic
 transform) under a private context that traps any rounding.  Exact series
 enter the kernel as integers over a common denominator.
 
-Inversion needs no product, and there is one inverter per coefficient domain,
-both forward substitution over the nonzero coefficients only, in blocks of
+Inversion needs no product, and one inverter serves both coefficient domains:
+forward substitution g_k = -(f_1 g_(k-1) + ... + f_k g_0) / f_0 over the nonzero
+f_i only, each scaled by -1/f_0 once and grouped by value c, in blocks of
 B = isqrt(len) output coefficients.  The output list starts with B zeros, which
 stand for the coefficients below q^0, then g_0, so the first block starts at q^1.
-One helper groups the support by value c into near terms (index below B) and far
-ones.  A far term reads only finished coefficients, B of them, so it enters a
-whole block at once: the windows of one value are summed, then scaled by c once
-per block, in the exact domain as slices of ints or Fractions added column by
-column, in Z/m as windows of packed ints whose fixed-width byte slots hold B
-finished residues each.  Near terms are summed per coefficient, one sum per
-value.  A negative power inverts, then raises, in either domain.
+A far term (index at least B) reads only finished coefficients, B of them, so it
+enters a whole block at once: the windows of one value are summed, then scaled by
+c once per block.  Near terms are summed per coefficient, one sum per value, and
+each g_k is brought into the domain.  A domain supplies only the inverse of f_0
+and the far sums of a block: exact series add slices of ints or Fractions column
+by column; Z/m cuts each window from packed ints whose fixed-width byte slots
+hold B finished residues each, wide enough that no slot carries into the next.
+A negative power inverts, then raises, in either domain.
 
 Arithmetic between series of different truncation orders truncates to the
 smaller order, and equality compares coefficients up to the smaller order.
@@ -122,30 +124,15 @@ def _convolution(a, b) -> list[int]:
     return [int(c) - half for c in slots]
 
 
-def _by_value(support, step):
-    """The terms (i, c) grouped by value c, as two lists of (c, positions): near
-    holds the offsets -i of the terms with i < step, far the indices i >= step in
-    ascending order.  A value is listed only where it has terms.
-
-    An inverter appending g_k reads g_(k-i) as g[-i].
-    """
-    near, far = {}, {}
-    for i, c in support:
-        if i < step:
-            near.setdefault(c, []).append(-i)
-        else:
-            far.setdefault(c, []).append(i)
-    return list(near.items()), list(far.items())
-
-
 class _Series:
     """The truncated ring, written once for every coefficient domain.
 
     A subclass sets ``_scalars`` and provides ``_coerce`` (one coefficient into
     the domain), ``_coerce_all`` (a whole tuple of them, after one scan of the
     value types), ``_product`` (the product of two equal-length coefficient
-    sequences) and ``inverse``; one with per-instance state overrides ``_new``
-    to pass it along.
+    sequences), ``_unit_inverse`` (1/f_0, or ZeroDivisionError) and ``_far_sums``
+    (the inverter's far sums of one block); one with per-instance state overrides
+    ``_new`` to pass it along.
     """
 
     __slots__ = ("_coeffs",)
@@ -250,6 +237,35 @@ class _Series:
         """Apply q*d/dq: the coefficient of q^k is scaled by k.  Same order."""
         return self._new(map(mul, range(len(self._coeffs)), self._coeffs))
 
+    def inverse(self):
+        """Multiplicative inverse up to the truncation order, by blocked forward
+        substitution (see the module docstring); ZeroDivisionError if the constant
+        term is not a unit."""
+        f, coerce = self._coeffs, self._coerce
+        inv0 = self._unit_inverse(f[0])
+        step = math.isqrt(len(f))
+        # Terms grouped by value c: near holds the offsets -i of the terms with
+        # i < step, far the indices i >= step in ascending order.  -f_i / f_0 is
+        # nonzero exactly where f_i is, in either domain.
+        near, far = {}, {}
+        for i, c in enumerate(f):
+            if i and c:
+                if i < step:
+                    near.setdefault(coerce(-inv0 * c), []).append(-i)
+                else:
+                    far.setdefault(coerce(-inv0 * c), []).append(i)
+        near = list(near.items())
+        # g[step + k] holds g_k, and the step zeros in front stand for g_k at k < 0,
+        # so every window is a full slice and g_(k-i) is g[-i] while g_k is appended.
+        g = [0] * step + [inv0]
+        back = g.__getitem__
+        far_sums = self._far_sums(list(far.items()), g, step)
+        for lo in range(1, len(f), step):
+            for partial in far_sums(lo, min(lo + step, len(f))):
+                near_sum = sum([c * sum(map(back, offsets)) for c, offsets in near])
+                g.append(coerce(partial + near_sum))
+        return self._new(g[step:])
+
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
@@ -296,39 +312,24 @@ class TruncatedSeries(_Series):
         out, d = _convolution(a, b), da * db
         return out if d == 1 else [Fraction(c, d) for c in out]
 
-    def inverse(self) -> TruncatedSeries:
-        """Multiplicative inverse up to the truncation order, by blocked forward substitution.
-
-        g_k = -(f_1 g_(k-1) + ... + f_k g_0) / f_0 over the nonzero f_i only; each
-        f_i is scaled by -1/f_0 once, so a unit lead keeps every step in ints.  The
-        g_k are produced in blocks of B = isqrt(len) coefficients, and the terms are
-        grouped by value c (see the module docstring).  A far term (i >= B) reads
-        only coefficients final before the block starts, a slice of B of them; the
-        slices of one value are added column by column and scaled by c once per
-        block.  The near terms (i < B) are summed coefficient by coefficient.
-        """
-        f = self._coeffs
-        if f[0] == 0:
+    @staticmethod
+    def _unit_inverse(lead) -> Coefficient:
+        if lead == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv0 = _normalize(Fraction(1) / f[0])
-        step = math.isqrt(len(f))
-        near, far = _by_value([(i, _normalize(-inv0 * c)) for i, c in enumerate(f) if i and c],
-                              step)
-        # g[step + k] holds g_k, and the step zeros in front stand for g_k at k < 0,
-        # so every window below is a full slice.
-        g = [0] * step + [inv0]
-        back = g.__getitem__
-        for lo in range(1, len(f), step):
-            hi = min(lo + step, len(f))       # this block is g_lo .. g_(hi-1)
-            block = [0] * (hi - lo)
+        return _normalize(Fraction(1) / lead)
+
+    @staticmethod
+    def _far_sums(far, g, step):
+        def block(lo, hi):
+            # The far sums of g_lo .. g_(hi-1): slices of g added column by column.
+            sums = [0] * (hi - lo)
             for c, indices in far:
                 # g_(lo-i) .. g_(hi-1-i) for each term that reaches this block, all final
                 windows = [g[step + lo - i:step + hi - i] for i in indices if i < hi]
                 if windows:
-                    block = list(map(add, block, map(mul, repeat(c), map(sum, zip(*windows)))))
-            for partial in block:
-                g.append(partial + sum([c * sum(map(back, offsets)) for c, offsets in near]))
-        return TruncatedSeries(g[step:])
+                    sums = list(map(add, sums, map(mul, repeat(c), map(sum, zip(*windows)))))
+            return sums
+        return block
 
     def reduce_mod(self, modulus: int) -> ResidueSeries:
         """Reduce each coefficient into Z/m via the modular inverse of its denominator.
@@ -401,44 +402,30 @@ class ResidueSeries(_Series):
     def modulus(self) -> int:
         return self._modulus
 
-    def inverse(self) -> ResidueSeries:
-        """Multiplicative inverse in Z/m up to the truncation order, by blocked forward
-        substitution over packed blocks.
-
-        g_k = c_1 g_(k-1) + ... + c_k g_0 with c_i = -f_i / f_0 mod m in [0, m), over
-        the nonzero c_i only, grouped by value (see the module docstring).  The g_k
-        are produced in blocks of B = isqrt(len) coefficients from q^1 on, and each
-        finished block is kept as one int of w-byte slots, as is the run of B - 1
-        zeros and g_0 before the first.  A far term (i >= B) reads one window of B
-        finished values, cut from at most two packed ints (shift, or, mask); the
-        windows of one value are summed, then added c times to an accumulator that
-        starts at 0.  Every slot then stays in [0, bound], bound = sum_(i>=B) c_i
-        (m-1), and w is wide enough for that and for m - 1, so no slot carries into
-        the next; the accumulator is unpacked once per block.  The near terms
-        (i < B) are summed coefficient by coefficient, and each g_k is reduced mod m
-        once.
-        """
-        f, m = self._coeffs, self._modulus
+    def _unit_inverse(self, lead) -> int:
         try:
-            inv0 = pow(f[0], -1, m)
+            return pow(lead, -1, self._modulus)
         except ValueError:
-            raise ZeroDivisionError(
-                f"constant term {f[0]} is not a unit mod {m}, so the series has no inverse"
-            ) from None
-        step = math.isqrt(len(f))
-        near, far = _by_value([(i, r) for i, c in enumerate(f) if i and (r := -inv0 * c % m)],
-                              step)
+            raise ZeroDivisionError(f"constant term {lead} is not a unit mod {self._modulus}, "
+                                    "so the series has no inverse") from None
+
+    def _far_sums(self, far, g, step):
+        # Each finished block is kept as one int of w-byte slots.  The windows of one
+        # value are summed, then added c times to an accumulator that starts at 0, so
+        # every slot stays in [0, bound], bound = sum_(i>=B) c_i (m-1); w is wide
+        # enough for that and for m - 1, so no slot carries into the next.
+        m = self._modulus
         bound = sum(c * len(indices) for c, indices in far) * (m - 1)
         width = (max(bound, m).bit_length() + 7) // 8
         bits = width * 8
         mask = (1 << step * bits) - 1
-        # g[step + k] holds g_k, and the step zeros in front stand for g_k at k < 0.
         # packed[j] holds g_((j-1) step + 1) .. g_(j step), g_((j-1) step + 1 + s) in slot s.
-        g = [0] * step + [inv0]
-        back = g.__getitem__
-        packed = [inv0 << (step - 1) * bits]
-        for lo in range(1, len(f), step):
-            hi = min(lo + step, len(f))         # this block is g_lo .. g_(hi-1)
+        packed = []
+
+        def block(lo, hi):
+            # g[lo:] is the block just finished, g_(lo-step) .. g_(lo-1).
+            packed.append(int.from_bytes(
+                b"".join([v.to_bytes(width, "little") for v in g[lo:]]), "little"))
             acc = 0
             for c, indices in far:
                 # g_(lo-i) .. g_(lo-i+step-1) starts in slot s of packed[j]
@@ -446,12 +433,9 @@ class ResidueSeries(_Series):
                 acc += c * sum([packed[j] >> s * bits | packed[j + 1] << (step - s) * bits & mask
                                 if s else packed[j] for j, s in cuts])
             raw = acc.to_bytes(step * width, "little")
-            for at in range(0, (hi - lo) * width, width):
-                partial = int.from_bytes(raw[at:at + width], "little")
-                g.append((partial + sum([c * sum(map(back, offsets)) for c, offsets in near])) % m)
-            packed.append(int.from_bytes(
-                b"".join([v.to_bytes(width, "little") for v in g[step + lo:]]), "little"))
-        return ResidueSeries(g[step:], m)
+            return [int.from_bytes(raw[at:at + width], "little")
+                    for at in range(0, (hi - lo) * width, width)]
+        return block
 
     def __eq__(self, other):
         if isinstance(other, ResidueSeries) and self._modulus != other._modulus:

@@ -27,6 +27,15 @@ class TestCheckByName:
         with pytest.raises(ValueError, match="only applies to congruence checks, not: a_routes"):
             check("a_routes", 10, (1, 1))
 
+    @pytest.mark.parametrize("call", [
+        lambda: check(5, 10),
+        lambda: run_all(order=5, names=[5]),
+        lambda: run_all(order=5, perturbations={5: (1, 1)}),
+    ], ids=["check", "run_all-names", "run_all-perturbations"])
+    def test_non_string_name_is_named(self, call):
+        with pytest.raises(ValueError, match=r": 5\b"):
+            call()
+
     @pytest.mark.parametrize("module", [qbps, series, qforms, gw, bps, congruence],
                              ids=lambda module: module.__name__)
     def test_every_exported_name_resolves(self, module):
@@ -312,6 +321,30 @@ class TestRunAll:
         catalog_for.cache_clear()
         monkeypatch.setattr(TruncatedSeries, "inverse", refused)
         assert check("support_lemma", 300).passed
+
+    @pytest.mark.parametrize("owner, attr, bump, failing", [
+        (TruncatedSeries, "inverse", lambda p: p.with_coefficient(9, p[9] + 1),
+         {"a_routes", "b_routes", "b_intermediate", "g_identity", "p12_identity"}),
+        (ResidueSeries, "inverse", lambda p: p.with_coefficient(9, p[9] + 1),
+         {"mod5_reduction", "support_lemma", "support_consequence"}),
+        (qforms.QFormCatalog, "_pentagonal", lambda p: p.with_coefficient(12, p[12] + 1),
+         {"mod5_reduction", "support_lemma", "support_consequence", "a_routes", "b_routes",
+          "b_intermediate", "g_identity", "p12_identity"}),
+        (qforms, "_sigma_table", lambda t: t[:7] + [t[7] + 1] + t[8:],
+         {"mod10", "mod5_reduction", "mod2_reduction", "a_routes", "b_routes",
+          "b_intermediate", "b_integrality", "g_identity", "p12_identity"}),
+    ], ids=["exact_inverse", "residue_inverse", "pentagonal", "sigma_table"])
+    def test_fault_fails_exactly_the_rows_that_depend_on_it(self, monkeypatch, owner, attr,
+                                                            bump, failing):
+        # One damaged coefficient in one building block: the rows built from it
+        # fail, and every row built independently of it still passes.
+        original = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *args: bump(original(*args)))
+        catalog_for.cache_clear()
+        try:
+            assert {r.name for r in run_all(order=60) if not r.passed} == failing
+        finally:
+            catalog_for.cache_clear()
 
     def test_default_depth_constants(self):
         assert DEFAULT_COMPOSITE_ORDER == 1000

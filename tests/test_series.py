@@ -198,7 +198,7 @@ class TestInverse:
         assert TruncatedSeries.one(5).inverse() == TruncatedSeries.one(5)
 
     def test_zero_constant_term_rejected(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroDivisionError, match="series with zero constant term has no inverse"):
             S(0, 1).inverse()
 
     def test_round_trip_with_fraction_lead(self):
