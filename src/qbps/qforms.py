@@ -5,7 +5,8 @@ the product form prod_{m>=1} (1-q^m)^{-1}; the divisor-sum series G carries
 constant term 0 since sigma(0) is undefined.  P^-1 = prod (1-q^m) is written
 down by Euler's pentagonal number theorem, and P is its inverse() by the one
 inverter of the series module, over the O(sqrt N) nonzero coefficients of P^-1,
-all +-1.  G comes from an independent divisor sieve, never from P.
+all +-1.  G comes from an independent divisor sieve, never from P: smallest
+prime factors, then sigma by multiplicativity.
 
 The congruence checks need P^alpha only mod m, and one recipe, power(alpha,
 modulus), serves both domains: Euler's P^-1, reduced mod m for a modulus, then
@@ -39,12 +40,20 @@ def sigma(k: int) -> int:
 
 
 def _sigma_table(order: int) -> list[int]:
-    # Sieve: each divisor d contributes itself to every multiple. O(N log N).
-    table = [0] * (order + 1)
-    for d in range(1, order + 1):
-        for k in range(d, order + 1, d):
-            table[k] += d
-    return table
+    # Smallest prime factors by slices, largest d first, so that the smallest
+    # prime writes each entry last (a composite d is overwritten by its own
+    # smallest prime, which comes later).  Then sigma by multiplicativity: for
+    # k = p m with p the smallest prime of k, sigma(k) = (p + 1) sigma(m), less
+    # p sigma(m / p) when p also divides m.
+    spf = list(range(order + 1))
+    for d in range(isqrt(order), 1, -1):
+        spf[d * d::d] = [d] * len(range(d * d, order + 1, d))
+    table = [0, 1] + [0] * (order - 1)
+    for k in range(2, order + 1):
+        p = spf[k]
+        m = k // p
+        table[k] = (p + 1) * table[m] - (p * table[m // p] if m % p == 0 else 0)
+    return table[:order + 1]
 
 
 class QFormCatalog:

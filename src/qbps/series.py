@@ -11,7 +11,12 @@ wide as a tight bound on the low product coefficients (one prefix maximum and
 one dot product), then a single libmpdec multiply (the C library behind the
 stdlib decimal module, which multiplies huge operands by a number-theoretic
 transform) under a private context that traps any rounding.  Exact series
-enter the kernel as integers over a common denominator.
+enter the kernel as integers over a common denominator, each offset by half the
+slot range to make room for a sign.  Residues in [0, m) need no offset.  When m
+divides 10 a product coefficient mod m is its low decimal digit mod m, so each
+single-digit residue is written straight into the low digit of a zero-filled
+slot and only the low digit of each product slot is read back, both by bytes
+operations with no conversion per coefficient; other moduli read whole slots.
 
 Inversion needs no product, and one inverter serves both coefficient domains:
 forward substitution g_k = -(f_1 g_(k-1) + ... + f_k g_0) / f_0 over the nonzero
@@ -37,7 +42,7 @@ import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add, mul, neg
+from operator import add, mul, neg, sub
 
 __all__ = ["TruncatedSeries", "ResidueSeries", "qd"]
 
@@ -68,6 +73,8 @@ def _checked_modulus(modulus) -> int:
 
 def _over_common_denominator(coeffs):
     """Integers over one denominator d, the lcm of the denominators: coeffs[k] = ints[k] / d."""
+    if {int}.issuperset(map(type, coeffs)):
+        return coeffs, 1
     d = math.lcm(*(c.denominator for c in coeffs))
     return coeffs if d == 1 else [c.numerator * (d // c.denominator) for c in coeffs], d
 
@@ -77,49 +84,81 @@ _TRAPS = [Inexact, Rounded, InvalidOperation, Overflow]
 # The kernel's own context, wide enough for any product.  The kernel never
 # computes in the thread's current context.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=_TRAPS)
+# The ASCII digit of each residue 0..9.
+_ASCII_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
-def _convolution(a, b) -> list[int]:
-    """Cauchy product through q^(len-1) of two equal-length sequences of signed ints.
+def _convolution(a, b, modulus: int | None = None) -> list[int]:
+    """Cauchy product through q^(len-1) of two equal-length sequences of ints:
+    signed ints with no modulus, else residues in [0, modulus), reduced mod
+    modulus only when it divides 10.
 
     Kronecker substitution in base 10: each sequence is packed into fixed-width
     decimal slots of one digit string, read as one Decimal, and a single libmpdec
     multiply of the two under the private trapping context _EXACT gives the
-    result in its low len slots.  A slot is sized from the tight bound
+    result in its low len slots.  A signed slot is sized from the tight bound
     max(sum_i |a_i| max_(j<=len-1-i) |b_j|, max|a|, max|b|), which bounds each
     operand and every low product coefficient, with room for a sign: a value
     sits offset by half the slot range.  For growing series like P^alpha the
-    bound is the largest product coefficient itself.  A high slot may overflow,
-    but the high half is a multiple of 10^(len*width) and never reaches the low
-    digits that are read.  Values cross between int and digits only through
-    Decimal, never str(int) or int(str), so slots past the int/str digit limit
-    stay exact.
+    bound is the largest product coefficient itself.  Residues are sized from
+    max(sum_i a_i max_j b_j, m - 1) and sit in their slots as they are,
+    zero-filled; when m divides 10 each is one digit, written into the low
+    digit of its slot, and the low digit of each product slot, mod m, is the
+    product coefficient mod m.  A high slot may overflow, but the high half is
+    a multiple of 10^(len*width) and never reaches the low digits that are
+    read.  Values cross between int and digits only through Decimal or bytes,
+    never str(int) or int(str), so slots past the int/str digit limit stay exact.
     """
     length = len(a)
-    # The low product coefficient of q^k is sum_(i<=k) a_i b_(k-i), so it is at
-    # most sum_i |a_i| max_(j<=len-1-i) |b_j|: one dot product with a prefix maximum.
-    reach = list(accumulate(map(abs, b), max))
-    bound = max(sum(map(mul, map(abs, a), reversed(reach))), max(map(abs, a)), reach[-1])
-    width = bound.bit_length() * 30103 // 100000 + 2    # 10^(width-1) > 2^bit_length > bound
-    half = 5 * 10 ** (width - 1)
+    signed = modulus is None
+    if signed:
+        # The low product coefficient of q^k is sum_(i<=k) a_i b_(k-i), so it is at
+        # most sum_i |a_i| max_(j<=len-1-i) |b_j|: one dot product with a prefix maximum.
+        reach = list(accumulate(map(abs, b), max))
+        bound = max(sum(map(mul, map(abs, a), reversed(reach))), max(map(abs, a)), reach[-1])
+    else:
+        # Residues are their own sizes.  sum(a) max(b) is about as tight as the
+        # prefix-maximum bound, since max(b) comes early, and far cheaper.
+        bound = max(sum(a) * max(b), modulus - 1)
+    # 10^width > 2^bit_length > bound; a signed slot has one digit more for the offset.
+    width = bound.bit_length() * 30103 // 100000 + (2 if signed else 1)
     span = length * width
-    bias = _EXACT.create_decimal(("5" + "0" * (width - 1)) * length)
+    low_digit = not signed and 10 % modulus == 0
+    half = 5 * 10 ** (width - 1) if signed else 0
+    if signed:
+        bias = _EXACT.create_decimal(("5" + "0" * (width - 1)) * length)
 
-    def packed(v):
-        # sum v[i] 10^(width i).  |c| < 10^(width-1) for every operand and low
-        # product coefficient c, so c + half has exactly width digits: no padding.
-        return _EXACT.subtract(_EXACT.create_decimal("".join(
-            map(_EXACT.to_sci_string, [c + half for c in reversed(v)]))), bias)
+        def packed(v):
+            # sum v[i] 10^(width i).  |c| < 10^(width-1) for every operand and low
+            # product coefficient c, so c + half has exactly width digits: no padding.
+            return _EXACT.subtract(_EXACT.create_decimal("".join(
+                map(_EXACT.to_sci_string, [c + half for c in reversed(v)]))), bias)
+    elif low_digit:
+        def packed(v):
+            digits = bytearray(b"0") * span
+            digits[width - 1::width] = bytes(v[::-1]).translate(_ASCII_DIGITS)
+            return _EXACT.create_decimal(digits.decode())
+    else:
+        def packed(v):
+            return _EXACT.create_decimal("".join(
+                [s.zfill(width) for s in map(_EXACT.to_sci_string, reversed(v))]))
 
     pa = packed(a)
     # A square is packed once, and libmpdec squares with fewer transforms.
-    raw = _EXACT.add(_EXACT.multiply(pa, pa if b is a else packed(b)), bias)
-    if raw.is_signed():
-        # The high slots went negative; 10^(2 span) exceeds |raw| and leaves the low digits.
-        raw = _EXACT.add(raw, _EXACT.scaleb(1, 2 * span))
+    raw = _EXACT.multiply(pa, pa if b is a else packed(b))
+    if signed:
+        raw = _EXACT.add(raw, bias)
+        if raw.is_signed():
+            # The high slots went negative; 10^(2 span) exceeds |raw| and leaves the low digits.
+            raw = _EXACT.add(raw, _EXACT.scaleb(1, 2 * span))
     # A shift at precision span keeps only the low span digits, so the high half
-    # of the product is never written out as a string.
-    digits = _EXACT.to_sci_string(Context(prec=span, Emax=MAX_EMAX, traps=_TRAPS).shift(raw, 0))
+    # of the product is never written out as a string.  A residue product may
+    # start with zero slots, which the string leaves out.
+    digits = _EXACT.to_sci_string(
+        Context(prec=span, Emax=MAX_EMAX, traps=_TRAPS).shift(raw, 0)).zfill(span)
+    if low_digit:
+        residues = bytes.maketrans(b"0123456789", bytes(d % modulus for d in range(10)))
+        return list(digits[width - 1::width].encode().translate(residues)[::-1])
     slots = map(_EXACT.create_decimal, [digits[i - width:i] for i in range(span, 0, -width)])
     return [int(c) - half for c in slots]
 
@@ -195,9 +234,12 @@ class _Series:
         return self._new(map(neg, self._coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, self._scalars) or isinstance(other, type(self)):
+        if isinstance(other, self._scalars):
             return self + (-other)
-        return NotImplemented
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._common_order(other)
+        return self._new(map(sub, self._coeffs, other._coeffs))
 
     def __rsub__(self, other):
         if not isinstance(other, self._scalars):
@@ -215,23 +257,20 @@ class _Series:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        """Repeated squaring; a negative exponent inverts, then raises."""
+        """Repeated squaring, left to right over the bits of the exponent, so the
+        widest product is a square; a negative exponent inverts, then raises."""
         if type(exponent) is not int:
             raise TypeError(f"series exponent must be an int, got {type(exponent).__name__}")
         if exponent < 0:
             return self.inverse() ** -exponent
         if exponent == 0:
             return self._new([1] + [0] * self.order)
-        result = None
-        base = self
-        e = exponent
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
+        return result
 
     def q_derivative(self):
         """Apply q*d/dq: the coefficient of q^k is scaled by k.  Same order."""
@@ -369,12 +408,12 @@ class ResidueSeries(_Series):
 
     Coefficients must be ints: a float or Fraction raises TypeError rather
     than being rounded into the ring.  Supports the ring operations, ** with
-    any integer exponent, and inversion when the constant term is a unit mod m.
+    any integer exponent, inversion when the constant term is a unit mod m, and
+    reduction to Z/k for a divisor k of m.
     """
 
     __slots__ = ("_modulus",)
     _scalars = int
-    _product = staticmethod(_convolution)    # the constructor reduces mod m
 
     def __init__(self, coeffs, modulus: int, order: int | None = None):
         self._modulus = _checked_modulus(modulus)
@@ -386,9 +425,16 @@ class ResidueSeries(_Series):
         return value % self._modulus
 
     def _coerce_all(self, values: tuple) -> tuple:
-        if {int}.issuperset(map(type, values)):
-            return tuple(map(self._modulus.__rmod__, values))
-        return tuple(map(self._coerce, values))
+        if not {int}.issuperset(map(type, values)):
+            return tuple(map(self._coerce, values))
+        # Kernel and inverter output is already in [0, m): two scans, no reduction.
+        if max(values, default=0) < self._modulus and min(values, default=0) >= 0:
+            return values
+        return tuple(map(self._modulus.__rmod__, values))
+
+    def _product(self, a, b) -> list[int]:
+        # Residues when m divides 10; the constructor reduces any other product.
+        return _convolution(a, b, self._modulus)
 
     def _new(self, coeffs) -> ResidueSeries:
         return ResidueSeries(coeffs, self._modulus)
@@ -401,6 +447,16 @@ class ResidueSeries(_Series):
     @property
     def modulus(self) -> int:
         return self._modulus
+
+    def reduce_mod(self, modulus: int) -> ResidueSeries:
+        """The image in Z/k of this series over Z/m, for a divisor k of m.
+
+        Reduction is a ring morphism, so a product computed mod m and reduced
+        here equals the same product computed mod k.
+        """
+        if self._modulus % _checked_modulus(modulus):
+            raise ValueError(f"{modulus} does not divide the modulus {self._modulus}")
+        return ResidueSeries(map(modulus.__rmod__, self._coeffs), modulus)
 
     def _unit_inverse(self, lead) -> int:
         try:

@@ -1,5 +1,6 @@
 """Residue checks: pass sweeps, proof-step witnesses, exact failure reporting."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -314,6 +315,22 @@ class TestRunAll:
         with pytest.raises(TypeError, match=f"order must be an int, got {type(order).__name__}"):
             run_all(order=order)
 
+    def test_residue_rows_take_one_residue_inverse(self, monkeypatch):
+        # P mod 10, reduced to 5 and 2 at the end, serves every residue row.
+        inverses = []
+        inverse = ResidueSeries.inverse
+
+        def counted(self):
+            inverses.append(self.modulus)
+            return inverse(self)
+
+        catalog_for.cache_clear()
+        monkeypatch.setattr(ResidueSeries, "inverse", counted)
+        rows = ["mod10", "mod5_reduction", "support_lemma", "support_consequence",
+                "mod2_reduction"]
+        assert all(r.passed for r in run_all(order=300, names=rows))
+        assert inverses == [10]
+
     def test_support_lemma_builds_no_exact_inverse(self, monkeypatch):
         def refused(self):
             raise AssertionError("exact inverse built")
@@ -333,13 +350,22 @@ class TestRunAll:
         (qforms, "_sigma_table", lambda t: t[:7] + [t[7] + 1] + t[8:],
          {"mod10", "mod5_reduction", "mod2_reduction", "a_routes", "b_routes",
           "b_intermediate", "b_integrality", "g_identity", "p12_identity"}),
-    ], ids=["exact_inverse", "residue_inverse", "pentagonal", "sigma_table"])
+        (TruncatedSeries, "_product", lambda c: c[:11] + [c[11] + 1] + c[12:],
+         {"mod10", "mod5_reduction", "mod2_reduction", "a_routes", "b_routes",
+          "b_intermediate", "b_integrality", "g_identity", "p12_identity"}),
+        (ResidueSeries, "_product", lambda c: c[:11] + [c[11] + 1] + c[12:],
+         {"mod5_reduction", "mod2_reduction"}),
+    ], ids=["exact_inverse", "residue_inverse", "pentagonal", "sigma_table",
+            "exact_product", "residue_product"])
     def test_fault_fails_exactly_the_rows_that_depend_on_it(self, monkeypatch, owner, attr,
                                                             bump, failing):
         # One damaged coefficient in one building block: the rows built from it
         # fail, and every row built independently of it still passes.
         original = getattr(owner, attr)
-        monkeypatch.setattr(owner, attr, lambda *args: bump(original(*args)))
+        faulty = lambda *args: bump(original(*args))
+        if isinstance(inspect.getattr_static(owner, attr), staticmethod):
+            faulty = staticmethod(faulty)       # TruncatedSeries._product takes no self
+        monkeypatch.setattr(owner, attr, faulty)
         catalog_for.cache_clear()
         try:
             assert {r.name for r in run_all(order=60) if not r.passed} == failing

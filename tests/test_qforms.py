@@ -100,6 +100,11 @@ class TestGSeries:
         for k in range(1, 201):
             assert g.coefficient(k) == sigma(k)
 
+    def test_sieve_matches_scalar_sigma_deeper(self):
+        # Deep enough for prime powers up to 2^11 and 3^7; then the shortest tables.
+        assert g_series(3000).coefficients == (0, *map(sigma, range(1, 3001)))
+        assert [g_series(n).coefficients for n in range(3)] == [(0,), (0, 1), (0, 1, 3)]
+
 
 class TestIdentities:
     def test_divisor_series_is_logarithmic_derivative(self):

@@ -448,6 +448,10 @@ class TestResidueSeries:
         with pytest.raises(ValueError):
             ResidueSeries([1], 5) + ResidueSeries([1], 7)
 
+    def test_values_in_range_are_kept(self):
+        values = (0, 9, 3, 0)
+        assert ResidueSeries(values, 10).coefficients is values
+
     def test_mul_matches_naive_convolution(self, oracle):
         prime = 2 ** 127 - 1
         cases = [
@@ -520,6 +524,30 @@ class TestResidueSeries:
         assert ResidueSeries([1, 2, 3], 5) == ResidueSeries([1, 2], 5)
 
 
+class TestResidueReduceMod:
+    def test_divisor(self):
+        r = ResidueSeries([3, 7, 9, 0, 5], 10)
+        assert r.reduce_mod(5) == ResidueSeries([3, 2, 4, 0, 0], 5)
+        assert r.reduce_mod(2) == ResidueSeries([1, 1, 1, 0, 1], 2)
+        assert r.reduce_mod(10) == r
+        assert r.reduce_mod(5).modulus == 5
+
+    def test_commutes_with_products(self):
+        f, g = ResidueSeries([1, 9, 4, 7], 10), ResidueSeries([6, 3, 8, 5], 10)
+        for k in (2, 5):
+            assert (f * g).reduce_mod(k) == f.reduce_mod(k) * g.reduce_mod(k)
+
+    @pytest.mark.parametrize("modulus", [3, 4, 20])
+    def test_non_divisor_rejected(self, modulus):
+        with pytest.raises(ValueError, match=f"{modulus} does not divide the modulus 10"):
+            ResidueSeries([1, 2], 10).reduce_mod(modulus)
+
+    @pytest.mark.parametrize("modulus", [5.0, True, Fraction(5)], ids=["float", "bool", "fraction"])
+    def test_non_int_rejected(self, modulus):
+        with pytest.raises(TypeError, match="modulus must be an int"):
+            ResidueSeries([1, 2], 10).reduce_mod(modulus)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     a=st.lists(st.integers(0, 99), min_size=1, max_size=40),
@@ -531,6 +559,39 @@ def test_packed_convolution_matches_schoolbook(a, b, m):
     want = [sum(a[i] * b[k - i] for i in range(k + 1)) % m for k in range(n)]
     got = ResidueSeries(a, m) * ResidueSeries(b, m)
     assert list(got.coefficients) == want
+
+
+def _operand(kind, length, m, seed):
+    if kind == "zero":
+        return [0] * length
+    if kind == "top":
+        return [m - 1] * length
+    return [(seed * 7919 + 104729 * k * k) % m for k in range(length)]
+
+
+@pytest.mark.parametrize("m", [2, 5, 10])
+@pytest.mark.parametrize("length", [1, 2, 71, 72])
+@pytest.mark.parametrize("kinds", [("zero", "zero"), ("zero", "top"), ("top", "top"),
+                                   ("top", "mixed"), ("mixed", "mixed")])
+def test_low_digit_product_matches_the_exact_product(m, length, kinds):
+    # All-(m-1) operands fill the widest slot: the top low coefficient is
+    # length (m-1)^2, the whole bound.  A square takes the packed-once path.
+    a, b = (_operand(kind, length, m, seed) for seed, kind in enumerate(kinds))
+    got = ResidueSeries(a, m) * ResidueSeries(b, m)
+    assert got == (TruncatedSeries(a) * TruncatedSeries(b)).reduce_mod(m) and got.modulus == m
+    for x in (a, b):
+        f = ResidueSeries(x, m)
+        assert f * f == (TruncatedSeries(x) ** 2).reduce_mod(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.sampled_from([2, 5, 10]), data=st.data())
+def test_low_digit_product_matches_on_random_operands(m, data):
+    length = data.draw(st.sampled_from([1, 2, 71, 72]))
+    residues = st.lists(st.integers(0, m - 1), min_size=length, max_size=length)
+    a, b = data.draw(residues), data.draw(residues)
+    got = ResidueSeries(a, m) * ResidueSeries(b, m)
+    assert got == (TruncatedSeries(a) * TruncatedSeries(b)).reduce_mod(m)
 
 
 @st.composite
