@@ -87,22 +87,19 @@ def table(kind, terms, fmt):
         counts = gw_table(terms)
         header = ["n", "N0", "N1", "N1_fiber"]
         # N1_fiber is undefined at n = 0 (no zero-fold fiber); the cell is empty.
-        rows = (
-            [str(n), str(counts.n0.coefficient(n)), str(counts.n1.coefficient(n)),
-             "" if n == 0 else str(n1_fiber(n))]
-            for n in range(terms + 1)
-        )
+        fibers = (n1_fiber(n) if n else "" for n in range(terms + 1))
+        rows = zip(range(terms + 1), counts.n0.coefficients, counts.n1.coefficients, fibers)
     else:
         a, b = a_closed_series(terms), b_closed_series(terms)
         header = ["n", "a", "b"]
-        rows = ([str(n), str(a.coefficient(n)), str(b.coefficient(n))] for n in range(terms + 1))
-    # rows is a generator, so csv output streams without holding the whole table.
+        rows = zip(range(terms + 1), a.coefficients, b.coefficients)
+    # rows is lazy, so csv output streams, and csv stringifies each value itself.
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     else:
-        click.echo(json.dumps([dict(zip(header, row)) for row in rows], indent=2))
+        click.echo(json.dumps([dict(zip(header, map(str, row))) for row in rows], indent=2))
 
 
 @main.command()

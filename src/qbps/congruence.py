@@ -215,11 +215,16 @@ def _perturbable(names) -> None:
 def check(name: str, order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
     """Run one check by name: build its series, perturb it, scan it to order.
 
-    An unknown name, or a perturbation of an exact check, raises ValueError.
+    An unknown name, or a perturbation of an exact check, raises ValueError; a
+    perturbation that is not a pair of ints raises TypeError.
     """
     _selected_names([name])
     if perturbation is not None:
         _perturbable([name])
+        if not (isinstance(perturbation, (tuple, list)) and len(perturbation) == 2
+                and {int}.issuperset(map(type, perturbation))):
+            raise TypeError(f"perturbation of {name} must be a pair of ints (index, delta), "
+                            f"got {perturbation!r}")
     modulus, build = _CHECKS[name]
     series, rule = build(order)
     if perturbation is not None:

@@ -6,17 +6,14 @@ deliberately rejected: everything downstream asserts exact integrality and
 congruence identities, which rounding would silently destroy.
 
 Both coefficient domains share one truncated-ring core and one product kernel:
-Kronecker packing of both operands into decimal digit strings, with slots as
-wide as a tight bound on the low product coefficients (one prefix maximum and
-one dot product), then a single libmpdec multiply (the C library behind the
-stdlib decimal module, which multiplies huge operands by a number-theoretic
-transform) under a private context that traps any rounding.  Exact series
-enter the kernel as integers over a common denominator, each offset by half the
-slot range to make room for a sign.  Residues in [0, m) need no offset.  When m
-divides 10 a product coefficient mod m is its low decimal digit mod m, so each
-single-digit residue is written straight into the low digit of a zero-filled
-slot and only the low digit of each product slot is read back, both by bytes
-operations with no conversion per coefficient; other moduli read whole slots.
+Kronecker packing of both operands into decimal digit strings, then a single
+libmpdec multiply (the C library behind the stdlib decimal module, which
+multiplies huge operands by a number-theoretic transform) under a private
+context that traps any rounding.  Slots have one of two layouts (see
+_convolution): exact digits, for exact series over a common denominator and for
+residues mod an m that does not divide 10, which the residue constructor then
+reduces; or low digits, for residues mod an m that divides 10, one digit per
+slot, packed and read back by bytes operations.
 
 Inversion needs no product, and one inverter serves both coefficient domains:
 forward substitution g_k = -(f_1 g_(k-1) + ... + f_k g_0) / f_0 over the nonzero
@@ -90,42 +87,34 @@ _ASCII_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 def _convolution(a, b, modulus: int | None = None) -> list[int]:
     """Cauchy product through q^(len-1) of two equal-length sequences of ints:
-    signed ints with no modulus, else residues in [0, modulus), reduced mod
-    modulus only when it divides 10.
+    signed ints with no modulus, else residues mod a modulus m that divides 10.
 
     Kronecker substitution in base 10: each sequence is packed into fixed-width
-    decimal slots of one digit string, read as one Decimal, and a single libmpdec
-    multiply of the two under the private trapping context _EXACT gives the
-    result in its low len slots.  A signed slot is sized from the tight bound
-    max(sum_i |a_i| max_(j<=len-1-i) |b_j|, max|a|, max|b|), which bounds each
-    operand and every low product coefficient, with room for a sign: a value
-    sits offset by half the slot range.  For growing series like P^alpha the
-    bound is the largest product coefficient itself.  Residues are sized from
-    max(sum_i a_i max_j b_j, m - 1) and sit in their slots as they are,
-    zero-filled; when m divides 10 each is one digit, written into the low
-    digit of its slot, and the low digit of each product slot, mod m, is the
-    product coefficient mod m.  A high slot may overflow, but the high half is
-    a multiple of 10^(len*width) and never reaches the low digits that are
-    read.  Values cross between int and digits only through Decimal or bytes,
-    never str(int) or int(str), so slots past the int/str digit limit stay exact.
+    decimal slots of one digit string, and one multiply under _EXACT gives the
+    product in its low len slots.  Two slot layouts:
+
+    * exact digits: slots sized from max(sum_i |a_i| max_(j<=len-1-i) |b_j|,
+      max|a|, max|b|), which bounds each operand and every low product
+      coefficient, with one digit more for a sign: a value sits offset by half
+      the slot range.  Each slot is read back whole, through one Decimal, so
+      slots past the int/str digit limit stay exact.
+    * low digits, for m | 10: slots sized from max(sum_i a_i max_j b_j, m - 1).
+      A residue is the low digit of its slot, and the low digit of a product
+      slot, mod m, is the product coefficient mod m.
+
+    ResidueSeries._product picks the layout: residues mod an m that does not
+    divide 10 take the exact layout, and the ResidueSeries constructor reduces
+    the whole slots.  A high slot may overflow, but never into the low digits.
     """
     length = len(a)
-    signed = modulus is None
-    if signed:
+    if modulus is None:
         # The low product coefficient of q^k is sum_(i<=k) a_i b_(k-i), so it is at
         # most sum_i |a_i| max_(j<=len-1-i) |b_j|: one dot product with a prefix maximum.
         reach = list(accumulate(map(abs, b), max))
         bound = max(sum(map(mul, map(abs, a), reversed(reach))), max(map(abs, a)), reach[-1])
-    else:
-        # Residues are their own sizes.  sum(a) max(b) is about as tight as the
-        # prefix-maximum bound, since max(b) comes early, and far cheaper.
-        bound = max(sum(a) * max(b), modulus - 1)
-    # 10^width > 2^bit_length > bound; a signed slot has one digit more for the offset.
-    width = bound.bit_length() * 30103 // 100000 + (2 if signed else 1)
-    span = length * width
-    low_digit = not signed and 10 % modulus == 0
-    half = 5 * 10 ** (width - 1) if signed else 0
-    if signed:
+        # 10^(width-1) > 2^bit_length > bound: one digit more for the offset.
+        width = bound.bit_length() * 30103 // 100000 + 2
+        half = 5 * 10 ** (width - 1)
         bias = _EXACT.create_decimal(("5" + "0" * (width - 1)) * length)
 
         def packed(v):
@@ -133,34 +122,38 @@ def _convolution(a, b, modulus: int | None = None) -> list[int]:
             # product coefficient c, so c + half has exactly width digits: no padding.
             return _EXACT.subtract(_EXACT.create_decimal("".join(
                 map(_EXACT.to_sci_string, [c + half for c in reversed(v)]))), bias)
-    elif low_digit:
+
+        def read(raw):
+            raw = _EXACT.add(raw, bias)
+            if raw.is_signed():
+                # The high slots went negative; adding 10^(2 span) leaves the low digits.
+                raw = _EXACT.add(raw, _EXACT.scaleb(1, 2 * span))
+            digits = _EXACT.to_sci_string(low.shift(raw, 0)).zfill(span)
+            return [int(c) - half for c in map(
+                _EXACT.create_decimal, [digits[i - width:i] for i in range(span, 0, -width)])]
+    else:
+        # Residues are their own sizes.  sum(a) max(b) is about as tight as the
+        # prefix-maximum bound, since max(b) comes early, and far cheaper.
+        # 10^width > 2^bit_length > bound.
+        width = max(sum(a) * max(b), modulus - 1).bit_length() * 30103 // 100000 + 1
+
         def packed(v):
             digits = bytearray(b"0") * span
             digits[width - 1::width] = bytes(v[::-1]).translate(_ASCII_DIGITS)
             return _EXACT.create_decimal(digits.decode())
-    else:
-        def packed(v):
-            return _EXACT.create_decimal("".join(
-                [s.zfill(width) for s in map(_EXACT.to_sci_string, reversed(v))]))
 
+        def read(raw):
+            residues = bytes.maketrans(b"0123456789", bytes(d % modulus for d in range(10)))
+            digits = _EXACT.to_sci_string(low.shift(raw, 0)).zfill(span)
+            return list(digits[width - 1::width].encode().translate(residues)[::-1])
+
+    span = length * width
+    # A shift at precision span keeps only the low span digits, so the high half
+    # is never written out.  A residue product may start with zero slots.
+    low = Context(prec=span, Emax=MAX_EMAX, traps=_TRAPS)
     pa = packed(a)
     # A square is packed once, and libmpdec squares with fewer transforms.
-    raw = _EXACT.multiply(pa, pa if b is a else packed(b))
-    if signed:
-        raw = _EXACT.add(raw, bias)
-        if raw.is_signed():
-            # The high slots went negative; 10^(2 span) exceeds |raw| and leaves the low digits.
-            raw = _EXACT.add(raw, _EXACT.scaleb(1, 2 * span))
-    # A shift at precision span keeps only the low span digits, so the high half
-    # of the product is never written out as a string.  A residue product may
-    # start with zero slots, which the string leaves out.
-    digits = _EXACT.to_sci_string(
-        Context(prec=span, Emax=MAX_EMAX, traps=_TRAPS).shift(raw, 0)).zfill(span)
-    if low_digit:
-        residues = bytes.maketrans(b"0123456789", bytes(d % modulus for d in range(10)))
-        return list(digits[width - 1::width].encode().translate(residues)[::-1])
-    slots = map(_EXACT.create_decimal, [digits[i - width:i] for i in range(span, 0, -width)])
-    return [int(c) - half for c in slots]
+    return read(_EXACT.multiply(pa, pa if b is a else packed(b)))
 
 
 class _Series:
@@ -427,14 +420,16 @@ class ResidueSeries(_Series):
     def _coerce_all(self, values: tuple) -> tuple:
         if not {int}.issuperset(map(type, values)):
             return tuple(map(self._coerce, values))
-        # Kernel and inverter output is already in [0, m): two scans, no reduction.
+        # Low-digit products and inverter output are in [0, m): two scans, no reduction.
         if max(values, default=0) < self._modulus and min(values, default=0) >= 0:
             return values
         return tuple(map(self._modulus.__rmod__, values))
 
     def _product(self, a, b) -> list[int]:
-        # Residues when m divides 10; the constructor reduces any other product.
-        return _convolution(a, b, self._modulus)
+        # The one choice of slot layout: low digits when m divides 10, else the
+        # exact layout, whose whole product coefficients the constructor reduces.
+        m = self._modulus
+        return _convolution(a, b, m) if 10 % m == 0 else _convolution(a, b)
 
     def _new(self, coeffs) -> ResidueSeries:
         return ResidueSeries(coeffs, self._modulus)

@@ -194,6 +194,19 @@ class TestFailureReporting:
             "a_routes": (3, Fraction(-1, 2)), "b_routes": (3, Fraction(-1, 2)),
             "a_integrality": (3, a3), "b_integrality": (3, b3)}
 
+    @pytest.mark.parametrize("perturbation", [(1,), (1, 1, 1), 5, ("1", 1), (True, 1),
+                                              (1, True), (1, 1.5)],
+                             ids=["short", "long", "int", "str", "bool-index", "bool-delta",
+                                  "float-delta"])
+    def test_malformed_perturbation_is_named(self, perturbation):
+        with pytest.raises(TypeError, match=r"perturbation of mod5_reduction must be a pair "
+                                            r"of ints \(index, delta\), got "):
+            check("mod5_reduction", 20, perturbation)
+
+    def test_perturbation_outside_the_order_rejected(self):
+        with pytest.raises(IndexError, match="outside stored range 0..20"):
+            check("mod10", 20, (21, 1))
+
     def test_unperturbed_prefix_stays_clean(self):
         # damage deep, scan reports nothing earlier
         result = check("mod10", 200, perturbation=(199, 9))
@@ -225,6 +238,11 @@ class TestCrtMeta:
         for k in range(order + 1):
             assert brace10.coefficient(k) % 5 == brace5.coefficient(k)
             assert brace10.coefficient(k) % 2 == brace2.coefficient(k)
+
+
+def _output(bump):
+    """A fault that damages what the original returns."""
+    return lambda original: lambda *args: bump(original(*args))
 
 
 class TestRunAll:
@@ -339,30 +357,36 @@ class TestRunAll:
         monkeypatch.setattr(TruncatedSeries, "inverse", refused)
         assert check("support_lemma", 300).passed
 
-    @pytest.mark.parametrize("owner, attr, bump, failing", [
-        (TruncatedSeries, "inverse", lambda p: p.with_coefficient(9, p[9] + 1),
+    @pytest.mark.parametrize("owner, attr, fault, failing", [
+        (TruncatedSeries, "inverse", _output(lambda p: p.with_coefficient(9, p[9] + 1)),
          {"a_routes", "b_routes", "b_intermediate", "g_identity", "p12_identity"}),
-        (ResidueSeries, "inverse", lambda p: p.with_coefficient(9, p[9] + 1),
+        (ResidueSeries, "inverse", _output(lambda p: p.with_coefficient(9, p[9] + 1)),
          {"mod5_reduction", "support_lemma", "support_consequence"}),
-        (qforms.QFormCatalog, "_pentagonal", lambda p: p.with_coefficient(12, p[12] + 1),
+        (qforms.QFormCatalog, "_pentagonal", _output(lambda p: p.with_coefficient(12, p[12] + 1)),
          {"mod5_reduction", "support_lemma", "support_consequence", "a_routes", "b_routes",
           "b_intermediate", "g_identity", "p12_identity"}),
-        (qforms, "_sigma_table", lambda t: t[:7] + [t[7] + 1] + t[8:],
+        (qforms, "_sigma_table", _output(lambda t: t[:7] + [t[7] + 1] + t[8:]),
          {"mod10", "mod5_reduction", "mod2_reduction", "a_routes", "b_routes",
           "b_intermediate", "b_integrality", "g_identity", "p12_identity"}),
-        (TruncatedSeries, "_product", lambda c: c[:11] + [c[11] + 1] + c[12:],
+        (TruncatedSeries, "_product", _output(lambda c: c[:11] + [c[11] + 1] + c[12:]),
          {"mod10", "mod5_reduction", "mod2_reduction", "a_routes", "b_routes",
           "b_intermediate", "b_integrality", "g_identity", "p12_identity"}),
-        (ResidueSeries, "_product", lambda c: c[:11] + [c[11] + 1] + c[12:],
+        (ResidueSeries, "_product", _output(lambda c: c[:11] + [c[11] + 1] + c[12:]),
          {"mod5_reduction", "mod2_reduction"}),
+        # The trial-division sigma that n1_fiber reads, not the sieve behind G.
+        (gw, "sigma", lambda sigma: lambda k: sigma(k) + (k == 7), {"b_routes"}),
+        (gw.SurfaceContext, "genus",
+         lambda genus: lambda surface, cls: genus(surface, cls) + (cls == (1, 5)),
+         {"a_routes", "b_routes"}),
+        (bps, "NINE_POINT_BLOWUP", lambda _: gw.SurfaceContext(euler_characteristic=13),
+         {"b_routes"}),
     ], ids=["exact_inverse", "residue_inverse", "pentagonal", "sigma_table",
-            "exact_product", "residue_product"])
+            "exact_product", "residue_product", "n1_fiber_sigma", "genus", "chi"])
     def test_fault_fails_exactly_the_rows_that_depend_on_it(self, monkeypatch, owner, attr,
-                                                            bump, failing):
-        # One damaged coefficient in one building block: the rows built from it
-        # fail, and every row built independently of it still passes.
-        original = getattr(owner, attr)
-        faulty = lambda *args: bump(original(*args))
+                                                            fault, failing):
+        # One damaged value in one building block: the rows built from it fail,
+        # and every row built independently of it still passes.
+        faulty = fault(getattr(owner, attr))
         if isinstance(inspect.getattr_static(owner, attr), staticmethod):
             faulty = staticmethod(faulty)       # TruncatedSeries._product takes no self
         monkeypatch.setattr(owner, attr, faulty)
