@@ -15,18 +15,22 @@ residues mod an m that does not divide 10, which the residue constructor then
 reduces; or low digits, for residues mod an m that divides 10, one digit per
 slot, packed and read back by bytes operations.
 
-Inversion needs no product, and one inverter serves both coefficient domains:
-forward substitution g_k = -(f_1 g_(k-1) + ... + f_k g_0) / f_0 over the nonzero
-f_i only, each scaled by -1/f_0 once and grouped by value c, in blocks of
-B = isqrt(len) output coefficients.  The output list starts with B zeros, which
-stand for the coefficients below q^0, then g_0, so the first block starts at q^1.
-A far term (index at least B) reads only finished coefficients, B of them, so it
-enters a whole block at once: the windows of one value are summed, then scaled by
-c once per block.  Near terms are summed per coefficient, one sum per value, and
-each g_k is brought into the domain.  A domain supplies only the inverse of f_0
-and the far sums of a block: exact series add slices of ints or Fractions column
-by column; Z/m cuts each window from packed ints whose fixed-width byte slots
-hold B finished residues each, wide enough that no slot carries into the next.
+Each coefficient domain has its own inverter, the faster one in that domain.
+Exact series use forward substitution, g_k = -(f_1 g_(k-1) + ... +
+f_k g_0) / f_0, over the nonzero f_i only, each scaled by -1/f_0 once and
+grouped by value c, in blocks of B = isqrt(len) output coefficients.  The
+output list starts with B zeros, which stand for the coefficients below q^0,
+then g_0, so the first block starts at q^1.  A far term (index at least B)
+reads only finished coefficients, B of them, so it enters a whole block at
+once: the windows of one value are added column by column, then scaled by c
+once per block.  Near terms are summed per coefficient, one sum per value.
+Newton's iteration over exact coefficients measured three to five times slower
+on Euler's P^-1 (0.54 s against 0.11 s at order 10^4, 4.2 s against 1.2 s at
+5 10^4), so exact series keep the substitution.  Residue series use Newton's iteration,
+g <- g - g (f g - 1), which doubles the known prefix with two products through
+the kernel.  P mod 10 from Euler's series took 0.18-0.28 s against 0.29-0.41 s
+for the blocked substitution at order 10^5, and 2.6 s against 8.3 s at 10^6
+(CPython 3.11, 2 vCPUs).
 A negative power inverts, then raises, in either domain.
 
 Arithmetic between series of different truncation orders truncates to the
@@ -162,9 +166,8 @@ class _Series:
     A subclass sets ``_scalars`` and provides ``_coerce`` (one coefficient into
     the domain), ``_coerce_all`` (a whole tuple of them, after one scan of the
     value types), ``_product`` (the product of two equal-length coefficient
-    sequences), ``_unit_inverse`` (1/f_0, or ZeroDivisionError) and ``_far_sums``
-    (the inverter's far sums of one block); one with per-instance state overrides
-    ``_new`` to pass it along.
+    sequences) and ``inverse``, whose method differs by domain (see the module
+    docstring); one with per-instance state overrides ``_new`` to pass it along.
     """
 
     __slots__ = ("_coeffs",)
@@ -269,35 +272,6 @@ class _Series:
         """Apply q*d/dq: the coefficient of q^k is scaled by k.  Same order."""
         return self._new(map(mul, range(len(self._coeffs)), self._coeffs))
 
-    def inverse(self):
-        """Multiplicative inverse up to the truncation order, by blocked forward
-        substitution (see the module docstring); ZeroDivisionError if the constant
-        term is not a unit."""
-        f, coerce = self._coeffs, self._coerce
-        inv0 = self._unit_inverse(f[0])
-        step = math.isqrt(len(f))
-        # Terms grouped by value c: near holds the offsets -i of the terms with
-        # i < step, far the indices i >= step in ascending order.  -f_i / f_0 is
-        # nonzero exactly where f_i is, in either domain.
-        near, far = {}, {}
-        for i, c in enumerate(f):
-            if i and c:
-                if i < step:
-                    near.setdefault(coerce(-inv0 * c), []).append(-i)
-                else:
-                    far.setdefault(coerce(-inv0 * c), []).append(i)
-        near = list(near.items())
-        # g[step + k] holds g_k, and the step zeros in front stand for g_k at k < 0,
-        # so every window is a full slice and g_(k-i) is g[-i] while g_k is appended.
-        g = [0] * step + [inv0]
-        back = g.__getitem__
-        far_sums = self._far_sums(list(far.items()), g, step)
-        for lo in range(1, len(f), step):
-            for partial in far_sums(lo, min(lo + step, len(f))):
-                near_sum = sum([c * sum(map(back, offsets)) for c, offsets in near])
-                g.append(coerce(partial + near_sum))
-        return self._new(g[step:])
-
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
@@ -330,29 +304,37 @@ class TruncatedSeries(_Series):
             return values
         return tuple(map(_normalize, values))
 
-    @classmethod
-    def zero(cls, order: int) -> TruncatedSeries:
-        return cls([0] * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> TruncatedSeries:
-        return cls([1] + [0] * order)
-
     @staticmethod
     def _product(a, b) -> list[Coefficient]:
         (a, da), (b, db) = _over_common_denominator(a), _over_common_denominator(b)
         out, d = _convolution(a, b), da * db
         return out if d == 1 else [Fraction(c, d) for c in out]
 
-    @staticmethod
-    def _unit_inverse(lead) -> Coefficient:
-        if lead == 0:
+    def inverse(self) -> TruncatedSeries:
+        """Multiplicative inverse up to the truncation order, by blocked forward
+        substitution (see the module docstring); ZeroDivisionError if the constant
+        term is 0."""
+        f = self._coeffs
+        if f[0] == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        return _normalize(Fraction(1) / lead)
-
-    @staticmethod
-    def _far_sums(far, g, step):
-        def block(lo, hi):
+        inv0 = _normalize(Fraction(1) / f[0])
+        step = math.isqrt(len(f))
+        # Terms grouped by value c = -f_i / f_0: near holds the offsets -i of the
+        # terms with i < step, far the indices i >= step in ascending order.
+        near, far = {}, {}
+        for i, c in enumerate(f):
+            if i and c:
+                if i < step:
+                    near.setdefault(_normalize(-inv0 * c), []).append(-i)
+                else:
+                    far.setdefault(_normalize(-inv0 * c), []).append(i)
+        near, far = list(near.items()), list(far.items())
+        # g[step + k] holds g_k, and the step zeros in front stand for g_k at k < 0,
+        # so every window is a full slice and g_(k-i) is g[-i] while g_k is appended.
+        g = [0] * step + [inv0]
+        back = g.__getitem__
+        for lo in range(1, len(f), step):
+            hi = min(lo + step, len(f))
             # The far sums of g_lo .. g_(hi-1): slices of g added column by column.
             sums = [0] * (hi - lo)
             for c, indices in far:
@@ -360,8 +342,10 @@ class TruncatedSeries(_Series):
                 windows = [g[step + lo - i:step + hi - i] for i in indices if i < hi]
                 if windows:
                     sums = list(map(add, sums, map(mul, repeat(c), map(sum, zip(*windows)))))
-            return sums
-        return block
+            for partial in sums:
+                near_sum = sum([c * sum(map(back, offsets)) for c, offsets in near])
+                g.append(_normalize(partial + near_sum))
+        return self._new(g[step:])
 
     def reduce_mod(self, modulus: int) -> ResidueSeries:
         """Reduce each coefficient into Z/m via the modular inverse of its denominator.
@@ -420,7 +404,7 @@ class ResidueSeries(_Series):
     def _coerce_all(self, values: tuple) -> tuple:
         if not {int}.issuperset(map(type, values)):
             return tuple(map(self._coerce, values))
-        # Low-digit products and inverter output are in [0, m): two scans, no reduction.
+        # Low-digit products and inverses are in [0, m): two scans, no reduction.
         if max(values, default=0) < self._modulus and min(values, default=0) >= 0:
             return values
         return tuple(map(self._modulus.__rmod__, values))
@@ -453,40 +437,24 @@ class ResidueSeries(_Series):
             raise ValueError(f"{modulus} does not divide the modulus {self._modulus}")
         return ResidueSeries(map(modulus.__rmod__, self._coeffs), modulus)
 
-    def _unit_inverse(self, lead) -> int:
+    def inverse(self) -> ResidueSeries:
+        """Multiplicative inverse up to the truncation order, by Newton's iteration
+        (see the module docstring); ZeroDivisionError if the constant term is not a
+        unit mod m."""
+        f, m = self._coeffs, self._modulus
         try:
-            return pow(lead, -1, self._modulus)
+            g = [pow(f[0], -1, m)]
         except ValueError:
-            raise ZeroDivisionError(f"constant term {lead} is not a unit mod {self._modulus}, "
+            raise ZeroDivisionError(f"constant term {f[0]} is not a unit mod {m}, "
                                     "so the series has no inverse") from None
-
-    def _far_sums(self, far, g, step):
-        # Each finished block is kept as one int of w-byte slots.  The windows of one
-        # value are summed, then added c times to an accumulator that starts at 0, so
-        # every slot stays in [0, bound], bound = sum_(i>=B) c_i (m-1); w is wide
-        # enough for that and for m - 1, so no slot carries into the next.
-        m = self._modulus
-        bound = sum(c * len(indices) for c, indices in far) * (m - 1)
-        width = (max(bound, m).bit_length() + 7) // 8
-        bits = width * 8
-        mask = (1 << step * bits) - 1
-        # packed[j] holds g_((j-1) step + 1) .. g_(j step), g_((j-1) step + 1 + s) in slot s.
-        packed = []
-
-        def block(lo, hi):
-            # g[lo:] is the block just finished, g_(lo-step) .. g_(lo-1).
-            packed.append(int.from_bytes(
-                b"".join([v.to_bytes(width, "little") for v in g[lo:]]), "little"))
-            acc = 0
-            for c, indices in far:
-                # g_(lo-i) .. g_(lo-i+step-1) starts in slot s of packed[j]
-                cuts = [divmod(lo - i + step - 1, step) for i in indices if i < hi]
-                acc += c * sum([packed[j] >> s * bits | packed[j + 1] << (step - s) * bits & mask
-                                if s else packed[j] for j, s in cuts])
-            raw = acc.to_bytes(step * width, "little")
-            return [int.from_bytes(raw[at:at + width], "little")
-                    for at in range(0, (hi - lo) * width, width)]
-        return block
+        while len(g) < len(f):
+            h, n = len(g), min(2 * len(g), len(f))
+            # f g - 1 vanishes below q^h, so the correction g (f g - 1) starts at q^h:
+            # g_h .. g_(n-1) are minus the low n - h coefficients of g_0 .. g_(n-h-1)
+            # times (f g - 1) / q^h, whose low coefficients are those of f g from q^h.
+            rest = self._product(f[:n], g + [0] * (n - h))[h:]
+            g += [-c % m for c in self._product(rest, g[:n - h])]
+        return self._new(g)
 
     def __eq__(self, other):
         if isinstance(other, ResidueSeries) and self._modulus != other._modulus:

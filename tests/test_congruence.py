@@ -371,8 +371,12 @@ class TestRunAll:
         (TruncatedSeries, "_product", _output(lambda c: c[:11] + [c[11] + 1] + c[12:]),
          {"mod10", "mod5_reduction", "mod2_reduction", "a_routes", "b_routes",
           "b_intermediate", "b_integrality", "g_identity", "p12_identity"}),
-        (ResidueSeries, "_product", _output(lambda c: c[:11] + [c[11] + 1] + c[12:]),
-         {"mod5_reduction", "mod2_reduction"}),
+        # Only products of at least 12 coefficients: Newton's first products are
+        # shorter.  The residue inverse is built from residue products, so P mod 10
+        # and the support rows that read it fail too.
+        (ResidueSeries, "_product",
+         _output(lambda c: c[:11] + [c[11] + 1] + c[12:] if len(c) > 11 else c),
+         {"mod5_reduction", "support_lemma", "support_consequence", "mod2_reduction"}),
         # The trial-division sigma that n1_fiber reads, not the sieve behind G.
         (gw, "sigma", lambda sigma: lambda k: sigma(k) + (k == 7), {"b_routes"}),
         (gw.SurfaceContext, "genus",

@@ -50,10 +50,6 @@ class TestConstruction:
         assert s.coefficients == (1, 2, 0)
         assert [type(c) for c in s.coefficients] == [int, int, int]
 
-    def test_zero_and_one(self):
-        assert TruncatedSeries.zero(3).coefficients == (0, 0, 0, 0)
-        assert TruncatedSeries.one(3).coefficients == (1, 0, 0, 0)
-
 
 class TestAddSub:
     def test_cancellation(self):
@@ -61,11 +57,11 @@ class TestAddSub:
 
     def test_additive_identity(self):
         f = S(3, Fraction(1, 2), -7)
-        assert f + TruncatedSeries.zero(2) == f
+        assert f + S(0, 0, 0) == f
 
     def test_self_cancellation(self):
         f = S(5, -2, 9)
-        assert f + (-f) == TruncatedSeries.zero(2)
+        assert f + (-f) == S(0, 0, 0)
 
     def test_mixed_order_truncates_to_min(self):
         total = S(1, 2, 3, 4) + S(1, 1)
@@ -90,7 +86,7 @@ class TestMul:
 
     def test_multiplicative_identity(self):
         f = S(2, Fraction(1, 3), -4, 0, 8)
-        assert f * TruncatedSeries.one(4) == f
+        assert f * S(1, 0, 0, 0, 0) == f
 
     def test_divisor_series_square(self):
         g = S(0, 1, 3)  # 0, sigma(1), sigma(2)
@@ -195,7 +191,8 @@ class TestInverse:
         assert inv.coefficients == (1, 1, 1, 1)
 
     def test_inverse_of_one(self):
-        assert TruncatedSeries.one(5).inverse() == TruncatedSeries.one(5)
+        one = S(1, 0, 0, 0, 0, 0)
+        assert one.inverse() == one
 
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ZeroDivisionError, match="series with zero constant term has no inverse"):
@@ -223,7 +220,7 @@ class TestInverse:
 
 class TestPow:
     def test_zeroth_power(self):
-        assert S(4, 7, -2) ** 0 == TruncatedSeries.one(2)
+        assert S(4, 7, -2) ** 0 == S(1, 0, 0)
 
     def test_negative_power_is_geometric(self):
         assert (S(1, -1, 0) ** -1).coefficients == (1, 1, 1)
@@ -245,7 +242,7 @@ class TestPow:
 
 class TestQDerivative:
     def test_kills_constants(self):
-        assert qd(S(9, 0, 0)) == TruncatedSeries.zero(2)
+        assert qd(S(9, 0, 0)) == S(0, 0, 0)
 
     def test_scales_by_exponent(self):
         assert qd(S(0, 0, 0, 5)).coefficients == (0, 0, 0, 15)
@@ -493,8 +490,7 @@ class TestResidueSeries:
             ResidueSeries([5, 1], 5) ** -3
 
     def test_inverse_without_far_terms_keeps_wide_residues(self, oracle):
-        # With no term a block back the slot bound is 0, yet a slot must still hold
-        # any residue: here 1/2 and its powers, 64-bit residues.
+        # Sparse series whose inverses hold 64-bit residues: 1/2, 1/3 and their powers.
         m = 2 ** 64 + 13
         for coeffs in ([2], [2, 1, 0, 0, 0, 0, 0, 0, 0], [3, 0, 5, 0, 0, 0, 0, 0, 0]):
             got = ResidueSeries(coeffs, m).inverse().coefficients
@@ -596,10 +592,8 @@ def test_low_digit_product_matches_on_random_operands(m, data):
 
 @st.composite
 def residue_inverse_inputs(draw):
-    """A series over Z/m whose length and support straddle the inverter's block edges.
-
-    Blocks are B = isqrt(len) coefficients long, so lengths k B - 1, k B and k B + 1
-    and support indices next to each multiple of B land on both sides of an edge.
+    """A series over Z/m with lengths k B - 1, k B and k B + 1, and support indices
+    next to each multiple of B, for a block length B up to 17 and B = isqrt(len).
     Values include 1, m - 1 and m/2, the ends of the signed range (-m/2, m/2].  The
     constant term is any residue, a non-unit included.
     """
@@ -634,3 +628,17 @@ def test_residue_inverse_matches_the_dense_oracle(f):
     inv = f.inverse()
     assert inv.modulus == m
     assert list(inv.coefficients) == invert_mod(list(f.coefficients), m)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 10, 256, 2 ** 64 + 13])
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 8, 9, 64, 65, 500])
+def test_residue_inverse_at_the_doubling_edges(m, length):
+    # Newton's iteration knows 1, 2, 4, 8, ... coefficients after each step, so a
+    # length at a power of two ends on a full step and one past it on a step of one.
+    f = [(104729 * k * k + 7919 * k + 3) % m for k in range(length)]
+    f[0] = m - 1
+    assert list(ResidueSeries(f, m).inverse().coefficients) == invert_mod(f, m)
+    f[0] = 0
+    with pytest.raises(ZeroDivisionError,
+                       match=f"constant term 0 is not a unit mod {m}, so the series has no inverse"):
+        ResidueSeries(f, m).inverse()
