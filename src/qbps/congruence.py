@@ -25,7 +25,7 @@ All 13 checks are rows of one table, name -> (modulus, build), in this order:
   support_lemma        5      P_2 mod 5 vanishes at the indices 2, 3 and 4 mod 5
   support_consequence  5      (D^2 - D) P_2 vanishes mod 5: on the support, k^2 = k
   mod2_reduction       2      mod 2 the brace equals P_{-1} (D^2 + D) P
-  parity_factor        2      coefficient k of (D^2 + D) P is exactly k(k+1)p(k), and even
+  parity_factor        2      coefficient k of (D^2 + D) P is exactly k(k+1)p(k), even as k(k+1) is
   a_routes             exact  the direct a(beta_n) equal A = -P^12 G
   b_routes             exact  the direct b(beta_n) equal B = (1/10) P^12 (7G^2 - G + DG)
   b_intermediate       exact  the half-simplified b, which pins the reindexing, equals B
@@ -47,19 +47,21 @@ Some rows catch less than they state:
     D(P^12) = -12 a_direct: the row scans exactly -12 times the series a_routes
     scans, and passes exactly when a_routes does.
 
-build(order) returns the series to scan and its failure rule: rule(k, c) is
-None for a good coefficient c of q^k, else the value to report.  One scanner,
-check(name, order), turns any row into its CongruenceCheck; run_all runs a
-selection.  The scanner first runs the rule's test over the whole series in C,
-and walks coefficient by coefficient, to name the first failure, only when that
-test fails or the rule has none.  A row with a modulus is a congruence check
-and accepts an optional single-coefficient perturbation, so tests can confirm
-that failure reporting points at exactly the damaged index.
+build(order) returns the series to scan and its failure rule.  A rule maps the
+coefficients to one flag per coefficient, true where that coefficient fails,
+and builds the flag stream in C from map and itertools.  One scanner,
+check(name, order), reports the first flagged index k and coefficient k, and so
+turns any row into its CongruenceCheck; run_all runs a selection.  A row with a
+modulus is a congruence check and accepts an optional single-coefficient
+perturbation, so tests can confirm that failure reporting points at exactly the
+damaged index.  run_all validates every perturbation before it builds a row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, cycle, repeat
+from operator import attrgetter, mul, ne
 
 from .series import qd
 from .qforms import g_series, p_alpha, partition_series
@@ -103,27 +105,19 @@ class CongruenceCheck:
             raise ValueError("passed must mirror the absence of a first failure")
 
 
-# Failure rules: (index, coefficient) -> None, or the value to report.
-def _nonzero(k, c):
-    return c or None
+# Failure rules: the scanned coefficients -> one flag per coefficient, true
+# where that coefficient fails.
+def _nonzero(cs):
+    return cs
 
 
-def _off_support(k, r):
+def _off_support(cs):
     # One-directional: residues at indices 0 or 1 mod 5 are unconstrained.
-    return r if r and k % 5 not in (0, 1) else None
+    return map(mul, cs, cycle((0, 0, 1, 1, 1)))
 
 
-def _fractional(k, c):
-    return c if c.denominator != 1 else None
-
-
-# A test of a whole coefficient tuple, run in C, that passes exactly when the
-# rule passes every coefficient.
-_CLEAN = {
-    _nonzero: lambda cs: not any(cs),
-    _off_support: lambda cs: not (any(cs[2::5]) or any(cs[3::5]) or any(cs[4::5])),
-    _fractional: lambda cs: {int}.issuperset(map(type, cs)),
-}
+def _fractional(cs):
+    return map(ne, map(attrgetter("denominator"), cs), repeat(1))
 
 
 def _p2_operator(order: int):
@@ -145,16 +139,12 @@ def _mod2_reduction(order: int):
 
 
 def _parity_factor(order: int):
-    # Checked over the integers: a failure reports the exact coefficient where
-    # it misses k(k+1)p(k), else its parity.
+    # Checked over the integers: coefficient k must be exactly k(k+1)p(k),
+    # built lazily so no second series of that length is held.
     p = partition_series(order)
-    exact, dp = p.coefficients, qd(p)
-
-    def rule(k, actual):
-        if actual != k * (k + 1) * exact[k]:
-            return actual
-        return actual % 2 or None
-    return qd(dp) + dp, rule
+    dp = qd(p)
+    return qd(dp) + dp, lambda cs: map(
+        ne, cs, map(mul, map(mul, count(), count(1)), p.coefficients))
 
 
 def _g_identity(order: int):
@@ -204,12 +194,17 @@ def _selected_names(names) -> set[str]:
     return selected
 
 
-def _perturbable(names) -> None:
-    """Refuse a perturbation of anything but a congruence check."""
-    refused = sorted(map(str, set(names) - {n for n, (m, _) in _CHECKS.items() if m}))
+def _perturbable(perturbations: dict) -> None:
+    """Refuse a perturbation of anything but a congruence check, or not a pair of ints."""
+    refused = sorted(map(str, set(perturbations) - {n for n, (m, _) in _CHECKS.items() if m}))
     if refused:
         raise ValueError(
             f"perturbation only applies to congruence checks, not: {', '.join(refused)}")
+    for name, perturbation in perturbations.items():
+        if not (isinstance(perturbation, (tuple, list)) and len(perturbation) == 2
+                and {int}.issuperset(map(type, perturbation))):
+            raise TypeError(f"perturbation of {name} must be a pair of ints (index, delta), "
+                            f"got {perturbation!r}")
 
 
 def check(name: str, order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
@@ -220,11 +215,7 @@ def check(name: str, order: int, perturbation: Perturbation | None = None) -> Co
     """
     _selected_names([name])
     if perturbation is not None:
-        _perturbable([name])
-        if not (isinstance(perturbation, (tuple, list)) and len(perturbation) == 2
-                and {int}.issuperset(map(type, perturbation))):
-            raise TypeError(f"perturbation of {name} must be a pair of ints (index, delta), "
-                            f"got {perturbation!r}")
+        _perturbable({name: perturbation})
     modulus, build = _CHECKS[name]
     series, rule = build(order)
     if perturbation is not None:
@@ -235,10 +226,8 @@ def check(name: str, order: int, perturbation: Perturbation | None = None) -> Co
     if series.order != order:
         raise RuntimeError(f"check {name} swept order {series.order}, not the requested {order}")
     coeffs = series.coefficients
-    clean = _CLEAN.get(rule)
-    failure = None if clean and clean(coeffs) else next(
-        ((k, value) for k, c in enumerate(coeffs) if (value := rule(k, c)) is not None), None)
-    return CongruenceCheck(name, modulus, order, failure is None, failure)
+    k = next(compress(count(), rule(coeffs)), None)
+    return CongruenceCheck(name, modulus, order, k is None, None if k is None else (k, coeffs[k]))
 
 
 def run_all(order: int | None = None, support_order: int | None = None,

@@ -162,19 +162,23 @@ class TestFailureReporting:
             assert result.first_failure == (index, delta % modulus), result
 
     def test_support_lemma_damaged_at_forbidden_index(self):
-        result = check("support_lemma", 100, perturbation=(92, 1))  # 92 = 2 mod 5
-        assert not result.passed
-        assert result.first_failure == (92, 1)
+        for index in (92, 93, 94):  # 2, 3 and 4 mod 5
+            result = check("support_lemma", 100, perturbation=(index, 1))
+            assert not result.passed
+            assert result.first_failure == (index, 1)
 
     def test_support_lemma_damage_at_permitted_index_is_invisible(self):
-        assert check("support_lemma", 100, perturbation=(95, 2)).passed  # 95 = 0 mod 5
+        for index in (95, 96):  # 0 and 1 mod 5
+            assert check("support_lemma", 100, perturbation=(index, 2)).passed
 
     def test_parity_factor_reports_exact_offender(self):
+        # The even delta keeps the coefficient even: only the exact value shows it.
         p = partition_series(40)
         expected = 33 * 34 * p.coefficient(33)
-        result = check("parity_factor", 40, perturbation=(33, 5))
-        assert not result.passed
-        assert result.first_failure == (33, expected + 5)
+        for delta in (5, 2):
+            result = check("parity_factor", 40, perturbation=(33, delta))
+            assert not result.passed
+            assert result.first_failure == (33, expected + delta)
 
     def test_exact_rows_report_the_fractional_coefficient(self, monkeypatch):
         # A closed form off by 1/2 at q^3 is fractional there, and so is its
@@ -202,6 +206,16 @@ class TestFailureReporting:
         with pytest.raises(TypeError, match=r"perturbation of mod5_reduction must be a pair "
                                             r"of ints \(index, delta\), got "):
             check("mod5_reduction", 20, perturbation)
+
+    def test_malformed_perturbation_rejected_before_any_row_is_built(self, monkeypatch):
+        def unbuilt(order):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr("qbps.congruence.brace_series", unbuilt)
+        with pytest.raises(TypeError, match="perturbation of parity_factor must be a pair"):
+            run_all(perturbations={"parity_factor": (3,)})
+        with pytest.raises(TypeError, match="perturbation of parity_factor must be a pair"):
+            run_all(order=5, names=["g_identity"], perturbations={"parity_factor": (3,)})
 
     def test_perturbation_outside_the_order_rejected(self):
         with pytest.raises(IndexError, match="outside stored range 0..20"):
