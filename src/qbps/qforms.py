@@ -4,11 +4,11 @@ Conventions: the partition series P carries constant term p(0) = 1, forced by
 the product form prod_{m>=1} (1-q^m)^{-1}; the divisor-sum series G carries
 constant term 0 since sigma(0) is undefined.  P^-1 = prod (1-q^m) is written
 down by Euler's pentagonal number theorem, and P is its inverse(): exact P by
-blocked forward substitution over the O(sqrt N) nonzero coefficients of P^-1,
-all +-1, and P mod m by Newton's iteration through the residue product (the
-series module says why the two domains invert differently).  G comes from an
-independent divisor sieve, never from P: smallest prime factors, then sigma by
-multiplicativity.
+forward substitution over the O(sqrt N) nonzero coefficients of P^-1, all +-1
+and so in two value groups, and P mod m by Newton's iteration through the
+residue product (the series module says why the two domains invert
+differently).  G comes from an independent divisor sieve, never from P: smallest
+prime factors, then sigma by multiplicativity.
 
 The congruence checks need P^alpha only mod m, and one recipe, power(alpha,
 modulus), serves both domains: Euler's P^-1, reduced mod m for a modulus, then

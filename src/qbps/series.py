@@ -17,20 +17,16 @@ slot, packed and read back by bytes operations.
 
 Each coefficient domain has its own inverter, the faster one in that domain.
 Exact series use forward substitution, g_k = -(f_1 g_(k-1) + ... +
-f_k g_0) / f_0, over the nonzero f_i only, each scaled by -1/f_0 once and
-grouped by value c, in blocks of B = isqrt(len) output coefficients.  The
-output list starts with B zeros, which stand for the coefficients below q^0,
-then g_0, so the first block starts at q^1.  A far term (index at least B)
-reads only finished coefficients, B of them, so it enters a whole block at
-once: the windows of one value are added column by column, then scaled by c
-once per block.  Near terms are summed per coefficient, one sum per value.
-Newton's iteration over exact coefficients measured three to five times slower
-on Euler's P^-1 (0.54 s against 0.11 s at order 10^4, 4.2 s against 1.2 s at
-5 10^4), so exact series keep the substitution.  Residue series use Newton's iteration,
-g <- g - g (f g - 1), which doubles the known prefix with two products through
-the kernel.  P mod 10 from Euler's series took 0.18-0.28 s against 0.29-0.41 s
-for the blocked substitution at order 10^5, and 2.6 s against 8.3 s at 10^6
-(CPython 3.11, 2 vCPUs).
+f_k g_0) / f_0, over the nonzero f_i only.  Each term is scaled by -1/f_0 once
+and grouped by its value c, so g_k is one sum per value: c times the sum of the
+history that value's terms read, fetched by one itemgetter per value.
+Newton's iteration over exact coefficients measured four to five times slower
+on Euler's P^-1 (0.56 s against 0.11 s at order 10^4, 4.1-4.6 s against
+0.79-0.99 s at 5 10^4; CPython 3.11, 2 vCPUs), so exact series keep the
+substitution.  Residue series use Newton's iteration, g <- g - g (f g - 1),
+which doubles the known prefix with two products through the kernel: O(N log N)
+work for N coefficients, where substitution over Euler's sqrt(N) terms is
+O(N^1.5).
 A negative power inverts, then raises, in either domain.
 
 Arithmetic between series of different truncation orders truncates to the
@@ -43,7 +39,7 @@ import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add, mul, neg, sub
+from operator import add, itemgetter, mul, neg, sub
 
 __all__ = ["TruncatedSeries", "ResidueSeries", "qd"]
 
@@ -311,63 +307,43 @@ class TruncatedSeries(_Series):
         return out if d == 1 else [Fraction(c, d) for c in out]
 
     def inverse(self) -> TruncatedSeries:
-        """Multiplicative inverse up to the truncation order, by blocked forward
-        substitution (see the module docstring); ZeroDivisionError if the constant
-        term is 0."""
+        """Multiplicative inverse up to the truncation order, by forward substitution
+        over terms grouped by value (see the module docstring); ZeroDivisionError if
+        the constant term is 0."""
         f = self._coeffs
         if f[0] == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
         inv0 = _normalize(Fraction(1) / f[0])
-        step = math.isqrt(len(f))
-        # Terms grouped by value c = -f_i / f_0: near holds the offsets -i of the
-        # terms with i < step, far the indices i >= step in ascending order.
-        near, far = {}, {}
-        for i, c in enumerate(f):
-            if i and c:
-                if i < step:
-                    near.setdefault(_normalize(-inv0 * c), []).append(-i)
-                else:
-                    far.setdefault(_normalize(-inv0 * c), []).append(i)
-        near, far = list(near.items()), list(far.items())
-        # g[step + k] holds g_k, and the step zeros in front stand for g_k at k < 0,
-        # so every window is a full slice and g_(k-i) is g[-i] while g_k is appended.
-        g = [0] * step + [inv0]
-        back = g.__getitem__
-        for lo in range(1, len(f), step):
-            hi = min(lo + step, len(f))
-            # The far sums of g_lo .. g_(hi-1): slices of g added column by column.
-            sums = [0] * (hi - lo)
-            for c, indices in far:
-                # g_(lo-i) .. g_(hi-1-i) for each term that reaches this block, all final
-                windows = [g[step + lo - i:step + hi - i] for i in indices if i < hi]
-                if windows:
-                    sums = list(map(add, sums, map(mul, repeat(c), map(sum, zip(*windows)))))
-            for partial in sums:
-                near_sum = sum([c * sum(map(back, offsets)) for c, offsets in near])
-                g.append(_normalize(partial + near_sum))
-        return self._new(g[step:])
+        # Offsets -i of the terms with value c = -f_i / f_0 that have entered, and one
+        # getter per value over them, rebuilt only when the value gains a term.
+        groups, getters = {}, {}
+        # g[0] is a zero every group also reads, so a one-term getter still returns
+        # a tuple; g[k] holds g_(k-1), so g_(k-i) is g[-i] while g_k is appended.
+        g = [0, inv0]
+        for k in range(1, len(f)):
+            if f[k]:
+                c = -inv0 * f[k]
+                groups.setdefault(c, [0]).append(-k)
+                getters[c] = itemgetter(*groups[c])
+            g.append(sum([c * sum(get(g)) for c, get in getters.items()]))
+        return self._new(g[1:])
 
     def reduce_mod(self, modulus: int) -> ResidueSeries:
-        """Reduce each coefficient into Z/m via the modular inverse of its denominator.
+        """Reduce each coefficient into Z/m via the modular inverse of the common
+        denominator d, which is a unit mod m exactly when every denominator is.
 
         Fails if any coefficient's reduced denominator shares a factor with m.
         """
         _checked_modulus(modulus)
-        if {int}.issuperset(map(type, self._coeffs)):
-            return ResidueSeries(self._coeffs, modulus)
-        residues = []
-        for k, c in enumerate(self._coeffs):
-            if isinstance(c, Fraction):
-                try:
-                    inv = pow(c.denominator, -1, modulus)
-                except ValueError:
-                    raise ValueError(
-                        f"coefficient {c} of q^{k} has denominator not invertible mod {modulus}"
-                    ) from None
-                residues.append(c.numerator * inv % modulus)
-            else:
-                residues.append(c % modulus)
-        return ResidueSeries(residues, modulus)
+        ints, d = _over_common_denominator(self._coeffs)
+        if d == 1:
+            return ResidueSeries(ints, modulus)
+        if math.gcd(d, modulus) != 1:
+            k, c = next((k, c) for k, c in enumerate(self._coeffs)
+                        if math.gcd(c.denominator, modulus) != 1)
+            raise ValueError(
+                f"coefficient {c} of q^{k} has denominator not invertible mod {modulus}")
+        return ResidueSeries(map(mul, ints, repeat(pow(d, -1, modulus))), modulus)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self._coeffs[:6])

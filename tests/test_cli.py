@@ -4,12 +4,15 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import qbps
 from qbps.cli import main
 from qbps.congruence import CHECK_NAMES, CongruenceCheck
 
@@ -163,15 +166,19 @@ class TestPinnedOutput:
 
 
 class TestProcessEntry:
+    # The child imports the qbps under test, installed or not.
+    ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(qbps.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+
     def test_module_invocation_round_trip(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qbps", "verify", "--terms", "5"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=self.ENV)
         assert proc.returncode == 0
         assert len(proc.stdout.strip().splitlines()) == len(CHECK_NAMES)
 
     def test_module_invocation_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qbps", "verify", "--checks", "bogus"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=self.ENV)
         assert proc.returncode == 2

@@ -263,6 +263,10 @@ class TestReduceMod:
     def test_shared_factor_rejected(self):
         with pytest.raises(ValueError):
             S(Fraction(1, 2)).reduce_mod(2)
+        # The first offending coefficient is named: 1/3 is invertible mod 10, 1/2 is not.
+        with pytest.raises(ValueError, match=r"coefficient 1/2 of q\^2 has denominator "
+                                             r"not invertible mod 10"):
+            S(1, Fraction(1, 3), Fraction(1, 2)).reduce_mod(10)
 
     def test_small_modulus_rejected(self):
         with pytest.raises(ValueError):
@@ -354,14 +358,14 @@ def test_inversion_round_trip(f):
 
 @st.composite
 def inverse_inputs(draw):
-    """A unit series whose support straddles the inverter's block edges.
+    """An invertible series, dense or sparse, whose lead is +-1, 2, -3 or a Fraction.
 
-    Blocks are isqrt(order + 1) coefficients long, so a support index just below,
-    at and just above each multiple of that length lands on both sides of an edge.
+    Sparse support indices are drawn anywhere, or just below, at and just above
+    each multiple of isqrt(order + 1), so they are spread over the whole range.
     Sparse supports reach order 300; dense ones stop at 100, where a non-unit lead
     already gives coefficients of a hundred digits.  A sparse support sometimes
     shares one value other than 0 and +-1, an int or a Fraction, so that one value
-    holds several far terms, summed together before they are scaled.
+    group holds several terms, summed together before they are scaled.
     """
     dense = draw(st.booleans())
     order = draw(st.one_of(st.integers(0, 3), st.integers(4, 100 if dense else 300)))
@@ -592,10 +596,11 @@ def test_low_digit_product_matches_on_random_operands(m, data):
 
 @st.composite
 def residue_inverse_inputs(draw):
-    """A series over Z/m with lengths k B - 1, k B and k B + 1, and support indices
-    next to each multiple of B, for a block length B up to 17 and B = isqrt(len).
-    Values include 1, m - 1 and m/2, the ends of the signed range (-m/2, m/2].  The
-    constant term is any residue, a non-unit included.
+    """A series over Z/m of any length up to 300, or of length k B - 1, k B or
+    k B + 1 for a spacing B up to 17, so Newton's last doubling step is sometimes
+    whole (length 16) and sometimes cut short.  A sparse support is drawn
+    anywhere, or next to each multiple of isqrt(len).  Values include 1, m - 1,
+    m/2 and m/2 + 1.  The constant term is any residue, a non-unit included.
     """
     m = draw(st.sampled_from([2, 5, 10, 255, 256, 257, 2 ** 64 + 13]))
     block = draw(st.integers(1, 17))
