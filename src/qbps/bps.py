@@ -16,8 +16,8 @@ is a real check and not a tautology:
 
 plus a third, intermediate rewrite of b that pins the index-shift step of the
 derivation connecting the general formula to the closed form.  The brace
-7G^2 - G + DG of B is built once per order, exactly (brace_series); the
-congruence checks reduce that one series mod 10, 5 and 2.
+7G^2 - G + DG is built once per order and modulus (brace_series): exactly for
+B, and in Z/10 for the congruence checks, which reduce it to 5 and 2 at the end.
 
 The integrality of every coefficient is the conjectural content; the
 a_integrality and b_integrality checks of congruence test it, never assume it.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .series import TruncatedSeries, qd, _normalize
+from .series import ResidueSeries, TruncatedSeries, qd, _checked_modulus, _normalize
 from .qforms import catalog_for, g_series, p_alpha
 from .gw import NINE_POINT_BLOWUP, n0_series, n1_series, n1_fiber
 
@@ -167,12 +167,20 @@ def b_direct_series(order: int) -> TruncatedSeries:
 
 # The brace and the closed forms are built once per order, on the order's
 # catalog: several checks scan each of them.
-def brace_series(order: int) -> TruncatedSeries:
-    """7G^2 - G + DG, the factor whose coefficients are all divisible by 10."""
+def brace_series(order: int, modulus: int | None = None) -> TruncatedSeries | ResidueSeries:
+    """7G^2 - G + DG, the factor whose coefficients are all divisible by 10.
+
+    Exact, or built in Z/m from G mod m, so that no exact product is made, and
+    cached per modulus.  A modulus that is not a plain int raises TypeError before
+    the cache is read: 10.0 == 10 would otherwise find the brace mod 10 there.
+    """
+    if modulus is not None:
+        _checked_modulus(modulus)
+
     def build():
-        g = g_series(order)
+        g = g_series(order) if modulus is None else g_series(order).reduce_mod(modulus)
         return 7 * (g * g) - g + qd(g)
-    return catalog_for(order).derived("brace", build)
+    return catalog_for(order).derived(("brace", modulus), build)
 
 
 def a_closed_series(order: int) -> TruncatedSeries:

@@ -1,19 +1,20 @@
 """Machine checks of the mod-10 divisibility of 7G^2 - G + DG and its proof steps.
 
-Reduction mod m is a ring morphism, so reducing the exact brace 7G^2 - G + DG
-or building P^alpha in Z/m loses nothing.  The composite claim factors through
+Reduction mod m is a ring morphism, so building the brace 7G^2 - G + DG or
+P^alpha in Z/m loses nothing.  The composite claim factors through
 independent mod-5 and mod-2 routes: mod 5 the brace is 3 P_{-2} (D^2 - D) P_2,
 which vanishes because P_2 lives on indices 0 or 1 mod 5, where k^2 = k; mod 2
 it is P_{-1} (D^2 + D) P, whose k-th coefficient k(k+1)p(k) is even.  The exact
 rows replay what the proof leans on: route equalities for a and b, their
 integrality, and the logarithmic-derivative identities behind the closed forms.
 
+The residue rows compute in one ring, Z/10 = Z/2 x Z/5, and reduce to the
+row's modulus, 5 or 2, only at the end; none of the six makes an exact product.
 The brace rows (mod10 and the left sides of mod5_reduction and mod2_reduction)
-reduce the exact brace_series, built once per order from the sieve G.  The
-right sides and the support rows compute in one ring, Z/10 = Z/2 x Z/5, and
-reduce to the row's modulus, 5 or 2, only at the end: they read P^alpha mod 10
-from p_alpha(alpha, order, 10), built in Z/10 from Euler's pentagonal P^-1
-reduced mod 10, its one residue inverse for P, and powers of those two.  No
+read brace_series(order, 10), built once per order from the sieve G reduced
+mod 10.  The right sides and the support rows read P^alpha mod 10 from
+p_alpha(alpha, order, 10), built in Z/10 from Euler's pentagonal P^-1 reduced
+mod 10, its one residue inverse for P, and powers of those two.  No
 residue row builds exact P, and none builds P mod 5 from Frobenius,
 (P mod 5)^5 = P(q^5), the support lemma's own proof mechanism.  parity_factor
 alone keeps exact P, since it pins the exact value k(k+1)p(k).
@@ -64,7 +65,7 @@ from itertools import compress, count, cycle, repeat
 from operator import attrgetter, mul, ne
 
 from .series import qd
-from .qforms import g_series, p_alpha, partition_series
+from .qforms import catalog_for, g_series, p_alpha, partition_series
 from .bps import (
     a_closed_series, a_direct_series, b_closed_series, b_direct_series,
     b_intermediate_series, brace_series,
@@ -77,7 +78,7 @@ __all__ = [
 
 # Recommended sweep depths for a bare run_all(), which then takes well under a
 # second, mostly in b_direct_series' dot products.  The support lemma at order
-# 10^4 reads P^2 mod 5 built in Z/m, about 0.07 s; it needs no exact P.
+# 10^4 reads P^2 mod 10 reduced to 5, about 0.03 s; it needs no exact P.
 # Callers (and the CLI) can pass anything.
 DEFAULT_COMPOSITE_ORDER = 1000
 DEFAULT_SUPPORT_ORDER = 10000
@@ -121,21 +122,29 @@ def _fractional(cs):
 
 
 def _p2_operator(order: int):
-    """(D^2 - D) P_2 mod 10."""
-    dp2 = qd(p_alpha(2, order, 10))
-    return qd(dp2) - dp2
+    """(D^2 - D) P_2 mod 10, which mod5_reduction and support_consequence both read.
+
+    Kept on the catalog of the order P_2 reaches, not the order asked for, so a
+    short P_2 never leaves a short operator under the requested order.
+    """
+    p2 = p_alpha(2, order, 10)
+
+    def build():
+        dp2 = qd(p2)
+        return qd(dp2) - dp2
+    return catalog_for(p2.order).derived("p2_operator", build)
 
 
 def _mod5_reduction(order: int):
     # The left side comes from G, the right side from P and P^-2 alone.
     rhs = 3 * (p_alpha(-2, order, 10) * _p2_operator(order))
-    return brace_series(order).reduce_mod(5) - rhs.reduce_mod(5), _nonzero
+    return (brace_series(order, 10) - rhs).reduce_mod(5), _nonzero
 
 
 def _mod2_reduction(order: int):
     dp = qd(p_alpha(1, order, 10))
     rhs = p_alpha(-1, order, 10) * (qd(dp) + dp)
-    return brace_series(order).reduce_mod(2) - rhs.reduce_mod(2), _nonzero
+    return (brace_series(order, 10) - rhs).reduce_mod(2), _nonzero
 
 
 def _parity_factor(order: int):
@@ -161,7 +170,7 @@ def _p12_identity(order: int):
 # name -> (modulus, build), run in this order.  modulus None marks an exact
 # identity; the other rows are the congruence checks.
 _CHECKS = {
-    "mod10": (10, lambda order: (brace_series(order).reduce_mod(10), _nonzero)),
+    "mod10": (10, lambda order: (brace_series(order, 10), _nonzero)),
     "mod5_reduction": (5, _mod5_reduction),
     "support_lemma": (5, lambda order: (p_alpha(2, order, 10).reduce_mod(5), _off_support)),
     "support_consequence": (5, lambda order: (_p2_operator(order).reduce_mod(5), _nonzero)),

@@ -1,10 +1,11 @@
 """The invariants a and b: general evaluators, series routes, integrality."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from qbps.series import qd
+from qbps.series import ResidueSeries, TruncatedSeries, qd
 from qbps.gw import NINE_POINT_BLOWUP, SurfaceContext, n0_series, n1_series
 from qbps.bps import (
     ClassData, _class_data,
@@ -185,7 +186,7 @@ class TestSeriesRoutes:
 
 class TestSharing:
     @pytest.mark.parametrize("build", [a_closed_series, b_closed_series, brace_series,
-                                       n1_series])
+                                       n1_series, partial(brace_series, modulus=10)])
     def test_built_once_per_order(self, build):
         assert build(40) is build(40)
         assert build(40).order == 40
@@ -205,6 +206,31 @@ class TestBrace:
 
     def test_q2_value_exact(self):
         assert brace_series(2).coefficient(2) == 10
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 60, 500])
+    def test_exact_brace_is_plain_ints(self, order, oracle):
+        # 7 sum sigma(i) sigma(k - i) - sigma(k) + k sigma(k), from the naive divisor sum.
+        sigma = [0] + [oracle.divisor_sum(k) for k in range(1, order + 1)]
+        square = oracle.convolve(sigma, sigma)
+        brace = brace_series(order)
+        assert type(brace) is TruncatedSeries
+        assert brace.coefficients == tuple(7 * square[k] - sigma[k] + k * sigma[k]
+                                           for k in range(order + 1))
+        assert {int}.issuperset(map(type, brace.coefficients))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 60, 500])
+    @pytest.mark.parametrize("modulus", [2, 3, 5, 7, 10])
+    def test_residue_brace_is_the_exact_brace_reduced(self, order, modulus):
+        brace = brace_series(order, modulus)
+        assert type(brace) is ResidueSeries
+        assert (brace.order, brace.modulus) == (order, modulus)
+        assert brace == brace_series(order).reduce_mod(modulus)
+
+    @pytest.mark.parametrize("modulus", [10.0, True], ids=["float", "bool"])
+    def test_non_int_modulus_rejected_before_the_cache(self, modulus):
+        brace_series(5, 10)
+        with pytest.raises(TypeError, match=f"modulus must be an int, got {type(modulus).__name__}"):
+            brace_series(5, modulus)
 
 
 class TestIntegrality:

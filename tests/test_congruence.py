@@ -208,7 +208,7 @@ class TestFailureReporting:
             check("mod5_reduction", 20, perturbation)
 
     def test_malformed_perturbation_rejected_before_any_row_is_built(self, monkeypatch):
-        def unbuilt(order):
+        def unbuilt(order, modulus=None):
             raise AssertionError("a row was built")
 
         monkeypatch.setattr("qbps.congruence.brace_series", unbuilt)
@@ -319,6 +319,8 @@ class TestRunAll:
     def test_short_sweep_rejected(self, monkeypatch, name, built, sweep):
         if built is p_alpha:        # the residue rows ask for (alpha, order, modulus)
             short = lambda alpha, order, modulus=None: built(alpha, order - 1, modulus)
+        elif built is bps.brace_series:     # the brace rows ask for (order, modulus)
+            short = lambda order, modulus=None: built(order - 1, modulus)
         else:
             short = lambda order: built(order - 1)
         monkeypatch.setattr(f"qbps.congruence.{built.__name__}", short)
@@ -333,14 +335,14 @@ class TestRunAll:
         assert all(r.passed for r in run_all(order=50))
         assert len(products) == 10
 
-    def test_congruence_rows_take_one_exact_product(self, products):
-        # G*G for the brace, which the three brace rows reduce mod 10, 5 and 2.
-        # Every residue power is built in Z/m, and parity_factor's P is an inverse.
+    def test_congruence_rows_take_no_exact_product(self, products):
+        # The brace rows read the brace built in Z/10, every residue power is
+        # built in Z/m, and parity_factor's P is an inverse.
         catalog_for.cache_clear()
         rows = ["mod10", "mod5_reduction", "support_lemma", "support_consequence",
                 "mod2_reduction", "parity_factor"]
         assert all(r.passed for r in run_all(order=50, names=rows))
-        assert len(products) == 1
+        assert products == []
 
     @pytest.mark.parametrize("order", [2.5, True], ids=["float", "bool"])
     def test_non_int_order_rejected(self, order):
@@ -363,6 +365,23 @@ class TestRunAll:
         assert all(r.passed for r in run_all(order=300, names=rows))
         assert inverses == [10]
 
+    def test_reduction_rows_read_one_p2_operator(self, monkeypatch):
+        # mod5_reduction and support_consequence share (D^2 - D) P_2 mod 10, so
+        # q d/dq is applied to P_2 mod 10 once, not once per row.
+        catalog_for.cache_clear()
+        p2 = p_alpha(2, 60, 10)
+        derived = []
+        q_derivative = ResidueSeries.q_derivative
+
+        def counted(self):
+            derived.append(self is p2)
+            return q_derivative(self)
+
+        monkeypatch.setattr(ResidueSeries, "q_derivative", counted)
+        assert all(r.passed for r in run_all(order=60, names=["mod5_reduction",
+                                                              "support_consequence"]))
+        assert derived.count(True) == 1
+
     def test_support_lemma_builds_no_exact_inverse(self, monkeypatch):
         def refused(self):
             raise AssertionError("exact inverse built")
@@ -382,15 +401,18 @@ class TestRunAll:
         (qforms, "_sigma_table", _output(lambda t: t[:7] + [t[7] + 1] + t[8:]),
          {"mod10", "mod5_reduction", "mod2_reduction", "a_routes", "b_routes",
           "b_intermediate", "b_integrality", "g_identity", "p12_identity"}),
+        # The brace rows read the brace built in Z/10, so no exact product reaches them.
         (TruncatedSeries, "_product", _output(lambda c: c[:11] + [c[11] + 1] + c[12:]),
-         {"mod10", "mod5_reduction", "mod2_reduction", "a_routes", "b_routes",
-          "b_intermediate", "b_integrality", "g_identity", "p12_identity"}),
+         {"a_routes", "b_routes", "b_intermediate", "b_integrality", "g_identity",
+          "p12_identity"}),
         # Only products of at least 12 coefficients: Newton's first products are
         # shorter.  The residue inverse is built from residue products, so P mod 10
-        # and the support rows that read it fail too.
+        # and the support rows that read it fail too.  mod2_reduction passes: the +1
+        # reaches its brace as +7 (through 7 G G) and its right side as +1, and the
+        # two cancel mod 2.
         (ResidueSeries, "_product",
          _output(lambda c: c[:11] + [c[11] + 1] + c[12:] if len(c) > 11 else c),
-         {"mod5_reduction", "support_lemma", "support_consequence", "mod2_reduction"}),
+         {"mod10", "mod5_reduction", "support_lemma", "support_consequence"}),
         # The trial-division sigma that n1_fiber reads, not the sieve behind G.
         (gw, "sigma", lambda sigma: lambda k: sigma(k) + (k == 7), {"b_routes"}),
         (gw.SurfaceContext, "genus",
