@@ -7,29 +7,14 @@ divisibility of 7G^2 - G + DG together with each step of its proof, all in
 exact rational and residue arithmetic to a chosen truncation order.
 """
 
-from .series import TruncatedSeries, ResidueSeries, qd
-from .qforms import sigma, partition_series, p_alpha, g_series, QFormCatalog, catalog_for
-from .gw import (SurfaceContext, NINE_POINT_BLOWUP, GWTable,
-                 n0_series, n1_series, n1_fiber, gw_table)
-from .bps import (ClassData, a_general, b_general, decompositions_for,
-                  a_direct_series, b_direct_series,
-                  a_closed_series, b_closed_series, b_intermediate_series,
-                  brace_series)
-from .congruence import (CongruenceCheck, CHECK_NAMES, check, run_all,
-                         DEFAULT_COMPOSITE_ORDER, DEFAULT_SUPPORT_ORDER)
+from . import bps, congruence, gw, qforms, series
+from .series import *
+from .qforms import *
+from .gw import *
+from .bps import *
+from .congruence import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TruncatedSeries", "ResidueSeries", "qd",
-    "sigma", "partition_series", "p_alpha", "g_series", "QFormCatalog", "catalog_for",
-    "SurfaceContext", "NINE_POINT_BLOWUP", "GWTable",
-    "n0_series", "n1_series", "n1_fiber", "gw_table",
-    "ClassData", "a_general", "b_general", "decompositions_for",
-    "a_direct_series", "b_direct_series",
-    "a_closed_series", "b_closed_series", "b_intermediate_series",
-    "brace_series",
-    "CongruenceCheck", "CHECK_NAMES", "check", "run_all",
-    "DEFAULT_COMPOSITE_ORDER", "DEFAULT_SUPPORT_ORDER",
-    "__version__",
-]
+__all__ = [*series.__all__, *qforms.__all__, *gw.__all__, *bps.__all__, *congruence.__all__,
+           "__version__"]

@@ -76,9 +76,10 @@ __all__ = [
     "DEFAULT_COMPOSITE_ORDER", "DEFAULT_SUPPORT_ORDER",
 ]
 
-# Recommended sweep depths for a bare run_all(), which then takes well under a
-# second, mostly in b_direct_series' dot products.  The support lemma at order
-# 10^4 reads P^2 mod 10 reduced to 5, about 0.03 s; it needs no exact P.
+# Recommended sweep depths for a bare run_all(), which then takes 0.2-0.3 s on 2
+# vCPUs, nearly half of it in exact products (P^12, N1, the brace, B) and 0.05 s
+# in b_direct_series' dot products.  The support lemma at order 10^4 reads P^2
+# mod 10 reduced to 5, about 0.03 s; it needs no exact P.
 # Callers (and the CLI) can pass anything.
 DEFAULT_COMPOSITE_ORDER = 1000
 DEFAULT_SUPPORT_ORDER = 10000

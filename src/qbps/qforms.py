@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
-from .series import ResidueSeries, TruncatedSeries
+from .series import ResidueSeries, TruncatedSeries, _checked_modulus
 
 __all__ = ["sigma", "partition_series", "p_alpha", "g_series", "QFormCatalog", "catalog_for"]
 
@@ -104,13 +104,13 @@ class QFormCatalog:
         inverse() in the same domain, so no exact P is built for a residue power;
         every other power is a power of one of those two.  P mod m is never built
         from Frobenius, (P mod 5)^5 = P(q^5), which is how the support lemma is proved.
-        An exponent or a modulus that is not a plain int raises TypeError, before the
-        cache is read: 2.0 == 2 and True == 1 would otherwise find P^2 and P there.
+        An exponent or a modulus that is not a plain int, or a modulus below 2, raises
+        before the cache is read: 2.0 == 2 and True == 1 would otherwise find P^2 and P.
         """
         if type(alpha) is not int:
             raise TypeError(f"exponent must be an int, got {type(alpha).__name__}")
-        if modulus is not None and type(modulus) is not int:
-            raise TypeError(f"modulus must be an int, got {type(modulus).__name__}")
+        if modulus is not None:
+            _checked_modulus(modulus)
         if alpha == -1 and modulus is None:
             build = self._pentagonal
         elif alpha == -1:

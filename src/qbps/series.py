@@ -96,8 +96,10 @@ def _convolution(a, b, modulus: int | None = None) -> list[int]:
     * exact digits: slots sized from max(sum_i |a_i| max_(j<=len-1-i) |b_j|,
       max|a|, max|b|), which bounds each operand and every low product
       coefficient, with one digit more for a sign: a value sits offset by half
-      the slot range.  Each slot is read back whole, through one Decimal, so
-      slots past the int/str digit limit stay exact.
+      the slot range.  The read-back adds the offsets and 10^(2 span), which
+      exceeds |packed a * packed b|, so the sum is positive and the added power
+      leaves its low digits unchanged.  Each slot is read back whole, through
+      one Decimal, so slots past the int/str digit limit stay exact.
     * low digits, for m | 10: slots sized from max(sum_i a_i max_j b_j, m - 1).
       A residue is the low digit of its slot, and the low digit of a product
       slot, mod m, is the product coefficient mod m.
@@ -124,10 +126,7 @@ def _convolution(a, b, modulus: int | None = None) -> list[int]:
                 map(_EXACT.to_sci_string, [c + half for c in reversed(v)]))), bias)
 
         def read(raw):
-            raw = _EXACT.add(raw, bias)
-            if raw.is_signed():
-                # The high slots went negative; adding 10^(2 span) leaves the low digits.
-                raw = _EXACT.add(raw, _EXACT.scaleb(1, 2 * span))
+            raw = _EXACT.add(_EXACT.add(raw, bias), _EXACT.scaleb(1, 2 * span))
             digits = _EXACT.to_sci_string(low.shift(raw, 0)).zfill(span)
             return [int(c) - half for c in map(
                 _EXACT.create_decimal, [digits[i - width:i] for i in range(span, 0, -width)])]
@@ -159,22 +158,20 @@ def _convolution(a, b, modulus: int | None = None) -> list[int]:
 class _Series:
     """The truncated ring, written once for every coefficient domain.
 
-    A subclass sets ``_scalars`` and provides ``_coerce`` (one coefficient into
-    the domain), ``_coerce_all`` (a whole tuple of them, after one scan of the
-    value types), ``_product`` (the product of two equal-length coefficient
-    sequences) and ``inverse``, whose method differs by domain (see the module
-    docstring); one with per-instance state overrides ``_new`` to pass it along.
+    A subclass sets ``_scalars`` and provides ``_coerce_all`` (a tuple of
+    coefficients into the domain, after one scan of the value types; a scalar
+    is coerced as a tuple of one), ``_product`` (the product of two
+    equal-length coefficient sequences) and ``inverse``, whose method differs by
+    domain (see the module docstring); one with per-instance state overrides
+    ``_new`` to pass it along.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs, order: int | None = None):
+    def __init__(self, coeffs):
         values = self._coerce_all(tuple(coeffs))
         if not values:
             raise ValueError("a truncated series needs at least its constant coefficient")
-        if order is not None and len(values) != order + 1:
-            raise ValueError(f"got {len(values)} coefficients for truncation order {order} "
-                             f"(need exactly {order + 1})")
         self._coeffs = values
 
     def _new(self, coeffs):
@@ -202,8 +199,7 @@ class _Series:
 
     def with_coefficient(self, k: int, value):
         """A copy with the coefficient of q^k replaced (for perturbation tests)."""
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient index {k} outside stored range 0..{self.order}")
+        self.coefficient(k)             # IndexError beyond the truncation order
         coeffs = list(self._coeffs)
         coeffs[k] = value
         return self._new(coeffs)
@@ -272,7 +268,7 @@ class _Series:
 
     def __eq__(self, other):
         if isinstance(other, self._scalars):
-            return self._coeffs[0] == self._coerce(other) and not any(self._coeffs[1:])
+            return self._coeffs[0] == self._coerce_all((other,))[0] and not any(self._coeffs[1:])
         if not isinstance(other, type(self)):
             return NotImplemented
         n = min(self.order, other.order)
@@ -291,7 +287,6 @@ class TruncatedSeries(_Series):
 
     __slots__ = ()
     _scalars = (int, Fraction)
-    _coerce = staticmethod(_normalize)
 
     @staticmethod
     def _coerce_all(values: tuple) -> tuple:
@@ -368,9 +363,9 @@ class ResidueSeries(_Series):
     __slots__ = ("_modulus",)
     _scalars = int
 
-    def __init__(self, coeffs, modulus: int, order: int | None = None):
+    def __init__(self, coeffs, modulus: int):
         self._modulus = _checked_modulus(modulus)
-        super().__init__(coeffs, order)
+        super().__init__(coeffs)
 
     def _coerce(self, value) -> int:
         if not isinstance(value, int):

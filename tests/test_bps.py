@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 
 from qbps.series import ResidueSeries, TruncatedSeries, qd
+from qbps.qforms import catalog_for
 from qbps.gw import NINE_POINT_BLOWUP, SurfaceContext, n0_series, n1_series
 from qbps.bps import (
     ClassData, _class_data,
@@ -226,11 +227,19 @@ class TestBrace:
         assert (brace.order, brace.modulus) == (order, modulus)
         assert brace == brace_series(order).reduce_mod(modulus)
 
-    @pytest.mark.parametrize("modulus", [10.0, True], ids=["float", "bool"])
-    def test_non_int_modulus_rejected_before_the_cache(self, modulus):
+    @pytest.mark.parametrize("modulus, error, message", [
+        (10.0, TypeError, "modulus must be an int, got float"),
+        (True, TypeError, "modulus must be an int, got bool"),
+        (0, ValueError, "modulus must be at least 2"),
+        (1, ValueError, "modulus must be at least 2"),
+    ], ids=["float", "bool", "modulus_0", "modulus_1"])
+    def test_non_int_modulus_rejected_before_the_cache(self, modulus, error, message):
+        catalog_for.cache_clear()
+        with pytest.raises(error, match=message):
+            brace_series(5, modulus)        # cold catalog
         brace_series(5, 10)
-        with pytest.raises(TypeError, match=f"modulus must be an int, got {type(modulus).__name__}"):
-            brace_series(5, modulus)
+        with pytest.raises(error, match=message):
+            brace_series(5, modulus)        # warm
 
 
 class TestIntegrality:

@@ -42,6 +42,19 @@ class TestCheckByName:
     def test_every_exported_name_resolves(self, module):
         assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
+    def test_package_exports_each_module_list_once(self):
+        modules = [series, qforms, gw, bps, congruence]
+        expected = [name for module in modules for name in module.__all__] + ["__version__"]
+        assert qbps.__all__ == expected
+        assert len(set(expected)) == len(expected)
+        namespace = {}
+        exec("from qbps import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(expected)
+        for module in modules:
+            for name in module.__all__:
+                assert namespace[name] is getattr(module, name), name
+
 
 class TestResultType:
     def test_fields(self):

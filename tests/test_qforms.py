@@ -167,18 +167,24 @@ class TestCatalog:
         with pytest.raises(TypeError, match="order must be an int, got bool"):
             catalog_for(True)
 
-    @pytest.mark.parametrize("bad, good", [
-        ((2.0, 10), (2, 10)), ((True, 10), (1, 10)), ((Fraction(2), 10), (2, 10)),
-        ((1, 10, 5.0), (1, 10, 5)), ((1, 10, True), (1, 10, 5)), ((-1, 10, 2.0), (-1, 10, 2)),
-    ], ids=["float", "bool", "fraction", "float_modulus", "bool_modulus", "float_modulus_2"])
-    def test_non_int_exponent_or_modulus_rejected(self, bad, good):
-        name = type(bad[2] if len(bad) > 2 else bad[0]).__name__
+    @pytest.mark.parametrize("bad, good, error, message", [
+        ((2.0, 10), (2, 10), TypeError, "must be an int, got float"),
+        ((True, 10), (1, 10), TypeError, "must be an int, got bool"),
+        ((Fraction(2), 10), (2, 10), TypeError, "must be an int, got Fraction"),
+        ((1, 10, 5.0), (1, 10, 5), TypeError, "must be an int, got float"),
+        ((1, 10, True), (1, 10, 5), TypeError, "must be an int, got bool"),
+        ((-1, 10, 2.0), (-1, 10, 2), TypeError, "must be an int, got float"),
+        ((2, 5, 0), (2, 5, 10), ValueError, "modulus must be at least 2"),
+        ((2, 5, 1), (2, 5, 10), ValueError, "modulus must be at least 2"),
+    ], ids=["float", "bool", "fraction", "float_modulus", "bool_modulus", "float_modulus_2",
+            "modulus_0", "modulus_1"])
+    def test_non_int_exponent_or_modulus_rejected(self, bad, good, error, message):
         catalog_for.cache_clear()
-        with pytest.raises(TypeError, match=f"must be an int, got {name}"):
+        with pytest.raises(error, match=message):
             p_alpha(*bad)           # cold catalog
         p_alpha(*good)
-        with pytest.raises(TypeError, match=f"must be an int, got {name}"):
-            p_alpha(*bad)           # warm: the equal key is cached
+        with pytest.raises(error, match=message):
+            p_alpha(*bad)           # warm: an equal key may be cached
 
     def test_partition_is_the_first_power(self):
         cat = QFormCatalog(30)

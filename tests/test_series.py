@@ -19,17 +19,13 @@ def S(*coeffs):
 
 class TestConstruction:
     def test_constant_series(self):
-        s = TruncatedSeries([1], order=0)
+        s = TruncatedSeries([1])
         assert s.order == 0
         assert s.coefficient(0) == 1
 
     def test_the_series_q(self):
-        s = TruncatedSeries([0, 1], order=1)
+        s = TruncatedSeries([0, 1])
         assert s.coefficients == (0, 1)
-
-    def test_length_order_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries([1, 1], order=0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
