@@ -26,7 +26,7 @@ a_integrality and b_integrality checks of congruence test it, never assume it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -42,21 +42,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(namedtuple("ClassData", "c g n0 n1")):
     """Per-class inputs: degree c(beta) > 0, genus, and the two curve counts.
 
-    a(beta) reads n0 only, so a_direct_series leaves n1 as None.
+    a(beta) reads n0 only, so a_direct_series leaves n1 as None.  Every
+    construction path checks c > 0, _make, _replace and unpickling included.
+    An immutable named tuple, not a dataclass, so that importing qbps stays
+    free of dataclasses and inspect: fields read by name, the record unpacks,
+    and it equals a tuple of the same fields.
     """
 
-    c: int
-    g: int
-    n0: object
-    n1: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"degree c(beta) must be positive, got {self.c}")
+    def __new__(cls, c, g, n0, n1):
+        if c <= 0:
+            raise ValueError(f"degree c(beta) must be positive, got {c}")
+        return tuple.__new__(cls, (c, g, n0, n1))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _binomial(a: int, b: int) -> int:

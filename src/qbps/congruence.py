@@ -60,7 +60,7 @@ damaged index.  run_all validates every perturbation before it builds a row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, count, cycle, repeat
 from operator import attrgetter, mul, ne
 
@@ -88,23 +88,32 @@ DEFAULT_SUPPORT_ORDER = 10000
 Perturbation = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CongruenceCheck:
+class CongruenceCheck(namedtuple(
+        "CongruenceCheck", "name modulus order passed first_failure")):
     """Outcome of one check.  modulus None marks an exact-arithmetic identity.
 
     first_failure is (index, offending value): the nonzero residue for modular
-    checks, the offending exact coefficient for identity checks.
+    checks, the offending exact coefficient for identity checks; it defaults to
+    None, and passed must mirror its absence.  Every construction path checks
+    that, _make, _replace and unpickling included.
+
+    An immutable named tuple, not a dataclass, so that importing qbps loads no
+    dataclasses or inspect (about 1 MiB of peak RSS per process).  Fields read
+    by name, the record unpacks, and it equals a tuple of the same fields.  A
+    field that must stay out of equality, such as a check's elapsed time, goes
+    last and __eq__ and __hash__ compare self[:5].
     """
 
-    name: str
-    modulus: int | None
-    order: int
-    passed: bool
-    first_failure: tuple | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.passed != (self.first_failure is None):
+    def __new__(cls, name, modulus, order, passed, first_failure=None):
+        if passed != (first_failure is None):
             raise ValueError("passed must mirror the absence of a first failure")
+        return tuple.__new__(cls, (name, modulus, order, passed, first_failure))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 # Failure rules: the scanned coefficients -> one flag per coefficient, true

@@ -9,7 +9,7 @@ sigma(l)/l) rather than derived from geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .series import TruncatedSeries, qd, _normalize
@@ -24,18 +24,20 @@ __all__ = [
 DivisorClass = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SurfaceContext:
+class SurfaceContext(namedtuple(
+        "SurfaceContext", "euler_characteristic s_self_intersection f_self_intersection s_dot_f",
+        defaults=(12, -1, 0, 1))):
     """Intersection data of the surface, enough to recover degree and genus.
 
     The canonical class is -F, so the degree pairing c(beta) = -beta.K counts
-    intersections with the fiber.
+    intersections with the fiber.  The defaults are the nine-point blow-up's:
+    chi = 12, S.S = -1, F.F = 0, S.F = 1.  An immutable named tuple, not a
+    dataclass, so that importing qbps stays free of dataclasses and inspect:
+    fields read by name, the record unpacks, and it equals a tuple of the same
+    fields.
     """
 
-    euler_characteristic: int = 12
-    s_self_intersection: int = -1
-    f_self_intersection: int = 0
-    s_dot_f: int = 1
+    __slots__ = ()
 
     @property
     def canonical_class(self) -> DivisorClass:
@@ -72,13 +74,16 @@ class SurfaceContext:
 NINE_POINT_BLOWUP = SurfaceContext()
 
 
-@dataclass(frozen=True)
-class GWTable:
-    """Coefficient n of n0 counts genus-0 curves in beta_n; n1 counts genus-1."""
+class GWTable(namedtuple("GWTable", "n0 n1 order")):
+    """Coefficient n of n0 counts genus-0 curves in beta_n; n1 counts genus-1.
 
-    n0: TruncatedSeries
-    n1: TruncatedSeries
-    order: int
+    n0 and n1 are TruncatedSeries to the int order.  An immutable named tuple,
+    not a dataclass, so that importing qbps stays free of dataclasses and
+    inspect: fields read by name, the record unpacks, and it equals a tuple of
+    the same fields.
+    """
+
+    __slots__ = ()
 
 
 def n0_series(order: int) -> TruncatedSeries:

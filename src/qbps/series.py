@@ -343,7 +343,7 @@ class TruncatedSeries(_Series):
     def __repr__(self):
         head = ", ".join(str(c) for c in self._coeffs[:6])
         tail = ", ..." if self.order > 5 else ""
-        return f"TruncatedSeries([{head}{tail}], order={self.order})"
+        return f"TruncatedSeries([{head}{tail}] + O(q^{self.order + 1}))"
 
 
 def qd(series):
@@ -435,4 +435,4 @@ class ResidueSeries(_Series):
     def __repr__(self):
         head = ", ".join(str(c) for c in self._coeffs[:8])
         tail = ", ..." if self.order > 7 else ""
-        return f"ResidueSeries([{head}{tail}], modulus={self._modulus}, order={self.order})"
+        return f"ResidueSeries([{head}{tail}] + O(q^{self.order + 1}), modulus={self._modulus})"

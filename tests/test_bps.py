@@ -1,5 +1,6 @@
 """The invariants a and b: general evaluators, series routes, integrality."""
 
+import pickle
 from fractions import Fraction
 from functools import partial
 
@@ -24,10 +25,31 @@ B_HEAD = (0, 0, 1, 17, 164, 1167, 6798, 34219, 153846)
 
 class TestClassData:
     def test_nonpositive_degree_rejected(self):
-        with pytest.raises(ValueError):
-            ClassData(c=0, g=1, n0=1, n1=0)
-        with pytest.raises(ValueError):
-            ClassData(c=-2, g=1, n0=1, n1=0)
+        # Every construction path: positional, keyword, _make, _replace.
+        builds = [
+            lambda: ClassData(0, 1, 1, 0),
+            lambda: ClassData(c=-2, g=1, n0=1, n1=0),
+            lambda: ClassData._make((0, 1, 1, 0)),
+            lambda: ClassData(1, 1, 1, 0)._replace(c=0),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match=r"degree c\(beta\) must be positive"):
+                build()
+
+    def test_named_tuple_behaviour(self):
+        data = ClassData(c=1, g=2, n0=90, n1=None)
+        c, g, n0, n1 = data
+        assert (c, g, n0, n1) == (data.c, data.g, data.n0, data.n1) == (1, 2, 90, None)
+        assert data == (1, 2, 90, None)
+        assert data._replace(n1=18) == (1, 2, 90, 18)
+        with pytest.raises(AttributeError):
+            data.c = 2
+
+    def test_pickle_round_trip(self):
+        data = ClassData(c=1, g=3, n0=Fraction(1, 2), n1=None)
+        copy = pickle.loads(pickle.dumps(data))
+        assert copy == data
+        assert type(copy) is ClassData
 
 
 class TestAGeneral:

@@ -1,7 +1,12 @@
 """Residue checks: pass sweeps, proof-step witnesses, exact failure reporting."""
 
 import inspect
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -66,10 +71,52 @@ class TestResultType:
         assert r.first_failure is None
 
     def test_inconsistent_flags_rejected(self):
-        with pytest.raises(ValueError):
-            CongruenceCheck("x", 5, 10, passed=True, first_failure=(3, 1))
-        with pytest.raises(ValueError):
-            CongruenceCheck("x", 5, 10, passed=False, first_failure=None)
+        # Every construction path: positional, keyword, defaulted, _make, _replace.
+        builds = [
+            lambda: CongruenceCheck("x", 5, 10, True, (3, 1)),
+            lambda: CongruenceCheck("x", 5, 10, False),
+            lambda: CongruenceCheck("x", 5, 10, passed=True, first_failure=(3, 1)),
+            lambda: CongruenceCheck(name="x", modulus=5, order=10, passed=False),
+            lambda: CongruenceCheck._make(("x", 5, 10, True, (3, 1))),
+            lambda: CongruenceCheck("x", 5, 10, True)._replace(first_failure=(3, 1)),
+            lambda: CongruenceCheck("x", 5, 10, False, (3, 1))._replace(first_failure=None),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match="passed must mirror"):
+                build()
+
+    def test_repr_matches_the_dataclass_form(self):
+        assert repr(check("mod10", 20)) == (
+            "CongruenceCheck(name='mod10', modulus=10, order=20, passed=True, first_failure=None)")
+
+    def test_named_tuple_behaviour(self):
+        r = CongruenceCheck("x", 5, 10, False, (3, 1))
+        name, modulus, order, passed, first_failure = r
+        assert (name, modulus, order, passed, first_failure) == ("x", 5, 10, False, (3, 1))
+        assert r == ("x", 5, 10, False, (3, 1))
+        assert r._replace(passed=True, first_failure=None) == ("x", 5, 10, True, None)
+        with pytest.raises(AttributeError):
+            r.passed = True
+
+    @pytest.mark.parametrize("record", [
+        CongruenceCheck("x", 5, 10, False, (3, Fraction(1, 2))),
+        CongruenceCheck("y", None, 7, True),
+    ], ids=["failed", "passed"])
+    def test_pickle_round_trip(self, record):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record
+        assert type(copy) is CongruenceCheck
+
+
+class TestColdImport:
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        # A fresh interpreter: the suite itself has long since imported both.
+        code = ("import sys; before = set(sys.modules); import qbps; "
+                "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
 
 class TestMod10:

@@ -69,6 +69,15 @@ class TestTable:
 
 
 class TestSurfaceContext:
+    def test_defaults_are_the_nine_point_blowup(self):
+        ctx = SurfaceContext()
+        assert ctx == (12, -1, 0, 1)
+        assert (ctx.euler_characteristic, ctx.s_self_intersection,
+                ctx.f_self_intersection, ctx.s_dot_f) == (12, -1, 0, 1)
+        assert SurfaceContext(euler_characteristic=24) == (24, -1, 0, 1)
+        assert repr(ctx) == ("SurfaceContext(euler_characteristic=12, s_self_intersection=-1, "
+                             "f_self_intersection=0, s_dot_f=1)")
+
     def test_intersection_constants(self):
         ctx = NINE_POINT_BLOWUP
         s, f = (1, 0), (0, 1)

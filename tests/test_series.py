@@ -46,6 +46,16 @@ class TestConstruction:
         assert s.coefficients == (1, 2, 0)
         assert [type(c) for c in s.coefficients] == [int, int, int]
 
+    @pytest.mark.parametrize("series, text", [
+        (TruncatedSeries([1, Fraction(1, 2)]), "TruncatedSeries([1, 1/2] + O(q^2))"),
+        (TruncatedSeries(range(7)), "TruncatedSeries([0, 1, 2, 3, 4, 5, ...] + O(q^7))"),
+        (ResidueSeries([1, 7], 5), "ResidueSeries([1, 2] + O(q^2), modulus=5)"),
+        (ResidueSeries(range(9), 10),
+         "ResidueSeries([0, 1, 2, 3, 4, 5, 6, 7, ...] + O(q^9), modulus=10)"),
+    ], ids=["exact-short", "exact-truncated", "residue-short", "residue-truncated"])
+    def test_repr_states_the_order_as_an_error_term(self, series, text):
+        assert repr(series) == text
+
 
 class TestAddSub:
     def test_cancellation(self):
