@@ -183,7 +183,7 @@ def brace_series(order: int, modulus: int | None = None) -> TruncatedSeries | Re
         _checked_modulus(modulus)
 
     def build():
-        g = g_series(order) if modulus is None else g_series(order).reduce_mod(modulus)
+        g = g_series(order, modulus)
         return 7 * (g * g) - g + qd(g)
     return catalog_for(order).derived(("brace", modulus), build)
 

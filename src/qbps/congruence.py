@@ -55,7 +55,8 @@ check(name, order), reports the first flagged index k and coefficient k, and so
 turns any row into its CongruenceCheck; run_all runs a selection.  A row with a
 modulus is a congruence check and accepts an optional single-coefficient
 perturbation, so tests can confirm that failure reporting points at exactly the
-damaged index.  run_all validates every perturbation before it builds a row.
+damaged index.  run_all validates every perturbation, its type and its index
+against its row's order, before it builds a row.
 """
 
 from __future__ import annotations
@@ -76,10 +77,10 @@ __all__ = [
     "DEFAULT_COMPOSITE_ORDER", "DEFAULT_SUPPORT_ORDER",
 ]
 
-# Recommended sweep depths for a bare run_all(), which then takes 0.2-0.3 s on 2
-# vCPUs, nearly half of it in exact products (P^12, N1, the brace, B) and 0.05 s
-# in b_direct_series' dot products.  The support lemma at order 10^4 reads P^2
-# mod 10 reduced to 5, about 0.03 s; it needs no exact P.
+# Recommended sweep depths for a bare run_all(), which then takes 0.17-0.26 s on 2
+# vCPUs (median 0.18 s), about half of it in exact products (P^12, N1, the brace,
+# B) and 0.05 s in b_direct_series' dot products.  The support lemma at order
+# 10^4 reads P^2 mod 10 reduced to 5, about 0.015 s; it needs no exact P.
 # Callers (and the CLI) can pass anything.
 DEFAULT_COMPOSITE_ORDER = 1000
 DEFAULT_SUPPORT_ORDER = 10000
@@ -213,8 +214,9 @@ def _selected_names(names) -> set[str]:
     return selected
 
 
-def _perturbable(perturbations: dict) -> None:
-    """Refuse a perturbation of anything but a congruence check, or not a pair of ints."""
+def _perturbable(perturbations: dict, order: int, support_order: int) -> None:
+    """Refuse a perturbation of anything but a congruence check, not a pair of ints,
+    or at an index outside its row's order: support_order for support_lemma, else order."""
     refused = sorted(map(str, set(perturbations) - {n for n, (m, _) in _CHECKS.items() if m}))
     if refused:
         raise ValueError(
@@ -224,17 +226,22 @@ def _perturbable(perturbations: dict) -> None:
                 and {int}.issuperset(map(type, perturbation))):
             raise TypeError(f"perturbation of {name} must be a pair of ints (index, delta), "
                             f"got {perturbation!r}")
+        # An order that is not an int is left to its catalog, which names the type.
+        index, depth = perturbation[0], support_order if name == "support_lemma" else order
+        if type(depth) is int and not 0 <= index <= depth:
+            raise IndexError(f"coefficient index {index} outside stored range 0..{depth}")
 
 
 def check(name: str, order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
     """Run one check by name: build its series, perturb it, scan it to order.
 
     An unknown name, or a perturbation of an exact check, raises ValueError; a
-    perturbation that is not a pair of ints raises TypeError.
+    perturbation that is not a pair of ints raises TypeError, and one whose index
+    lies outside 0..order raises IndexError.
     """
     _selected_names([name])
     if perturbation is not None:
-        _perturbable({name: perturbation})
+        _perturbable({name: perturbation}, order, order)
     modulus, build = _CHECKS[name]
     series, rule = build(order)
     if perturbation is not None:
@@ -268,7 +275,7 @@ def run_all(order: int | None = None, support_order: int | None = None,
         support_order = order
     selected = _selected_names(names)
     perturbations = dict(perturbations or {})
-    _perturbable(perturbations)
+    _perturbable(perturbations, order, support_order)
     return [check(name, support_order if name == "support_lemma" else order,
                   perturbations.get(name))
             for name in CHECK_NAMES if name in selected]

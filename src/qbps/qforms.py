@@ -8,7 +8,8 @@ forward substitution over the O(sqrt N) nonzero coefficients of P^-1, all +-1
 and so in two value groups, and P mod m by Newton's iteration through the
 residue product (the series module says why the two domains invert
 differently).  G comes from an independent divisor sieve, never from P: smallest
-prime factors, then sigma by multiplicativity.
+prime factors, then sigma by multiplicativity.  G mod m is reduced straight from
+the sieve's table, so a residue sweep holds no exact G.
 
 The congruence checks need P^alpha only mod m, and one recipe, power(alpha,
 modulus), serves both domains: Euler's P^-1, reduced mod m for a modulus, then
@@ -146,6 +147,10 @@ def p_alpha(alpha: int, order: int, modulus: int | None = None) -> TruncatedSeri
     return catalog_for(order).power(alpha, modulus)
 
 
-def g_series(order: int) -> TruncatedSeries:
-    """Coefficient k is sigma(k) for k >= 1; coefficient 0 is 0."""
-    return catalog_for(order).divisor_sum
+def g_series(order: int, modulus: int | None = None) -> TruncatedSeries | ResidueSeries:
+    """Coefficient k is sigma(k) for k >= 1; coefficient 0 is 0.  Exact, from the
+    catalog, or mod m, reduced from a fresh sieve table that is then dropped."""
+    catalog = catalog_for(order)        # validates the order
+    if modulus is None:
+        return catalog.divisor_sum
+    return ResidueSeries(_sigma_table(order), modulus)

@@ -1,19 +1,22 @@
 """Exact arithmetic on formal power series truncated at a fixed order.
 
 Coefficients live in the rationals (stdlib :class:`fractions.Fraction`,
-unbounded integers) or, for congruence sweeps, in Z/m.  Floating point is
-deliberately rejected: everything downstream asserts exact integrality and
-congruence identities, which rounding would silently destroy.
+unbounded integers) or, for congruence sweeps, in Z/m for a modulus m that
+divides 10: 2, 5 or 10, the moduli of the paper's two halves and their product.
+Floating point is deliberately rejected: everything downstream asserts exact
+integrality and congruence identities, which rounding would silently destroy.
 
 Both coefficient domains share one truncated-ring core and one product kernel:
 Kronecker packing of both operands into decimal digit strings, then a single
 libmpdec multiply (the C library behind the stdlib decimal module, which
 multiplies huge operands by a number-theoretic transform) under a private
-context that traps any rounding.  Slots have one of two layouts (see
-_convolution): exact digits, for exact series over a common denominator and for
-residues mod an m that does not divide 10, which the residue constructor then
-reduces; or low digits, for residues mod an m that divides 10, one digit per
-slot, packed and read back by bytes operations.
+context that traps any rounding.  Each domain has one storage and one slot
+layout (see _convolution): an exact series is a tuple of ints and Fractions,
+packed as exact digits over a common denominator; a residue series is bytes,
+one residue in [0, m) per byte, packed as low digits, one digit per slot, and
+read back by bytes operations.  Residue sums, negation, scalar products, q*d/dq
+and reduction to a divisor are bytes translations, with no per-coefficient
+Python object.
 
 Each coefficient domain has its own inverter, the faster one in that domain.
 Exact series use forward substitution, g_k = -(f_1 g_(k-1) + ... +
@@ -39,7 +42,7 @@ import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, itemgetter, mod, mul
 
 __all__ = ["TruncatedSeries", "ResidueSeries", "qd"]
 
@@ -60,12 +63,17 @@ def _normalize(value) -> Coefficient:
 
 
 def _checked_modulus(modulus) -> int:
-    """The modulus itself, once it is known to be a plain int of at least 2."""
+    """The modulus itself, once it is known to be a plain int of at least 2 that divides 10."""
     if type(modulus) is not int:
         raise TypeError(f"modulus must be an int, got {type(modulus).__name__}")
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
+    if modulus < 2 or 10 % modulus:
+        raise ValueError(f"modulus must be at least 2 and divide 10, got {modulus}")
     return modulus
+
+
+def _times(scalar: int, modulus: int) -> bytes:
+    """The translation table that takes each byte b to scalar b mod m."""
+    return bytes(scalar * b % modulus for b in range(256))
 
 
 def _over_common_denominator(coeffs):
@@ -85,13 +93,13 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=_TRAPS)
 _ASCII_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
-def _convolution(a, b, modulus: int | None = None) -> list[int]:
-    """Cauchy product through q^(len-1) of two equal-length sequences of ints:
-    signed ints with no modulus, else residues mod a modulus m that divides 10.
+def _convolution(a, b, modulus: int | None = None) -> list[int] | bytes:
+    """Cauchy product through q^(len-1) of two equal-length sequences: signed ints
+    with no modulus, else bytes of residues mod a modulus m that divides 10.
 
     Kronecker substitution in base 10: each sequence is packed into fixed-width
     decimal slots of one digit string, and one multiply under _EXACT gives the
-    product in its low len slots.  Two slot layouts:
+    product in its low len slots.  One slot layout per coefficient domain:
 
     * exact digits: slots sized from max(sum_i |a_i| max_(j<=len-1-i) |b_j|,
       max|a|, max|b|), which bounds each operand and every low product
@@ -100,13 +108,12 @@ def _convolution(a, b, modulus: int | None = None) -> list[int]:
       exceeds |packed a * packed b|, so the sum is positive and the added power
       leaves its low digits unchanged.  Each slot is read back whole, through
       one Decimal, so slots past the int/str digit limit stay exact.
-    * low digits, for m | 10: slots sized from max(sum_i a_i max_j b_j, m - 1).
-      A residue is the low digit of its slot, and the low digit of a product
-      slot, mod m, is the product coefficient mod m.
-
-    ResidueSeries._product picks the layout: residues mod an m that does not
-    divide 10 take the exact layout, and the ResidueSeries constructor reduces
-    the whole slots.  A high slot may overflow, but never into the low digits.
+    * low digits, for residues: slots sized from max(sum_i a_i max_j b_j, m - 1).
+      Each residue byte is translated to its ASCII digit, the low digit of its
+      slot.  The low digit of a product slot, mod m, is the product coefficient
+      mod m, so the read-back is one strided slice and one translate, and the
+      product comes back as bytes.  A high slot may overflow, but never into
+      the low digits.
     """
     length = len(a)
     if modulus is None:
@@ -132,19 +139,21 @@ def _convolution(a, b, modulus: int | None = None) -> list[int]:
                 _EXACT.create_decimal, [digits[i - width:i] for i in range(span, 0, -width)])]
     else:
         # Residues are their own sizes.  sum(a) max(b) is about as tight as the
-        # prefix-maximum bound, since max(b) comes early, and far cheaper.
+        # prefix-maximum bound, since max(b) comes early, and far cheaper: max(b)
+        # is one byte search per candidate residue, from m - 1 down.
         # 10^width > 2^bit_length > bound.
-        width = max(sum(a) * max(b), modulus - 1).bit_length() * 30103 // 100000 + 1
+        top = next((r for r in range(modulus - 1, 0, -1) if r in b), 0)
+        width = max(sum(a) * top, modulus - 1).bit_length() * 30103 // 100000 + 1
 
         def packed(v):
             digits = bytearray(b"0") * span
-            digits[width - 1::width] = bytes(v[::-1]).translate(_ASCII_DIGITS)
+            digits[width - 1::width] = v[::-1].translate(_ASCII_DIGITS)
             return _EXACT.create_decimal(digits.decode())
 
         def read(raw):
             residues = bytes.maketrans(b"0123456789", bytes(d % modulus for d in range(10)))
             digits = _EXACT.to_sci_string(low.shift(raw, 0)).zfill(span)
-            return list(digits[width - 1::width].encode().translate(residues)[::-1])
+            return digits[width - 1::width].encode().translate(residues)[::-1]
 
     span = length * width
     # A shift at precision span keeps only the low span digits, so the high half
@@ -158,18 +167,21 @@ def _convolution(a, b, modulus: int | None = None) -> list[int]:
 class _Series:
     """The truncated ring, written once for every coefficient domain.
 
-    A subclass sets ``_scalars`` and provides ``_coerce_all`` (a tuple of
-    coefficients into the domain, after one scan of the value types; a scalar
-    is coerced as a tuple of one), ``_product`` (the product of two
-    equal-length coefficient sequences) and ``inverse``, whose method differs by
-    domain (see the module docstring); one with per-instance state overrides
-    ``_new`` to pass it along.
+    A subclass sets ``_scalars`` and provides its domain's storage through
+    ``_coerce_all`` (any iterable of coefficients into the stored sequence, a
+    tuple or bytes; a scalar is coerced as a sequence of one), and its
+    arithmetic on stored sequences through ``_sum`` and ``_product`` (of two
+    equal-length sequences), ``_scaled`` (by a scalar), ``_weighted``
+    (coefficient k times k) and ``inverse``, whose method differs by domain
+    (see the module docstring).  ``_modulus`` names the domain, None for the
+    exact one; a subclass whose modulus is per instance overrides ``_new`` to
+    pass it along.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs):
-        values = self._coerce_all(tuple(coeffs))
+        values = self._coerce_all(coeffs)
         if not values:
             raise ValueError("a truncated series needs at least its constant coefficient")
         self._coeffs = values
@@ -179,6 +191,8 @@ class _Series:
         return type(self)(coeffs)
 
     def _common_order(self, other) -> int:
+        if self._modulus != other._modulus:
+            raise ValueError(f"modulus mismatch: {self._modulus} vs {other._modulus}")
         return min(self.order, other.order)
 
     @property
@@ -186,7 +200,7 @@ class _Series:
         return len(self._coeffs) - 1
 
     @property
-    def coefficients(self) -> tuple:
+    def coefficients(self) -> tuple | bytes:
         return self._coeffs
 
     def coefficient(self, k: int):
@@ -200,34 +214,28 @@ class _Series:
     def with_coefficient(self, k: int, value):
         """A copy with the coefficient of q^k replaced (for perturbation tests)."""
         self.coefficient(k)             # IndexError beyond the truncation order
-        coeffs = list(self._coeffs)
-        coeffs[k] = value
-        return self._new(coeffs)
+        coeffs = self._coeffs
+        return self._new(coeffs[:k] + self._coerce_all((value,)) + coeffs[k + 1:])
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, self._scalars):
-            coeffs = list(self._coeffs)
-            coeffs[0] = coeffs[0] + other
-            return self._new(coeffs)
+            return self.with_coefficient(0, self._coeffs[0] + other)
         if not isinstance(other, type(self)):
             return NotImplemented
-        self._common_order(other)       # validates the pair; map stops at the shorter
-        return self._new(map(add, self._coeffs, other._coeffs))
+        n = self._common_order(other)
+        return self._new(self._sum(self._coeffs[:n + 1], other._coeffs[:n + 1]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new(map(neg, self._coeffs))
+        return self._new(self._scaled(self._coeffs, -1))
 
     def __sub__(self, other):
-        if isinstance(other, self._scalars):
+        if isinstance(other, self._scalars) or isinstance(other, type(self)):
             return self + (-other)
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._common_order(other)
-        return self._new(map(sub, self._coeffs, other._coeffs))
+        return NotImplemented
 
     def __rsub__(self, other):
         if not isinstance(other, self._scalars):
@@ -236,7 +244,7 @@ class _Series:
 
     def __mul__(self, other):
         if isinstance(other, self._scalars):
-            return self._new(map(mul, self._coeffs, repeat(other)))
+            return self._new(self._scaled(self._coeffs, other))
         if not isinstance(other, type(self)):
             return NotImplemented
         n = self._common_order(other)
@@ -262,17 +270,17 @@ class _Series:
 
     def q_derivative(self):
         """Apply q*d/dq: the coefficient of q^k is scaled by k.  Same order."""
-        return self._new(map(mul, range(len(self._coeffs)), self._coeffs))
+        return self._new(self._weighted(self._coeffs))
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, self._scalars):
-            return self._coeffs[0] == self._coerce_all((other,))[0] and not any(self._coeffs[1:])
+            other = self._new([other] + [0] * self.order)
         if not isinstance(other, type(self)):
             return NotImplemented
         n = min(self.order, other.order)
-        return self._coeffs[:n + 1] == other._coeffs[:n + 1]
+        return self._modulus == other._modulus and self._coeffs[:n + 1] == other._coeffs[:n + 1]
 
     __hash__ = None
 
@@ -287,13 +295,27 @@ class TruncatedSeries(_Series):
 
     __slots__ = ()
     _scalars = (int, Fraction)
+    _modulus = None
 
     @staticmethod
-    def _coerce_all(values: tuple) -> tuple:
+    def _coerce_all(values) -> tuple:
         # Plain ints, the common case, stay as they are.
+        values = tuple(values)
         if {int}.issuperset(map(type, values)):
             return values
         return tuple(map(_normalize, values))
+
+    @staticmethod
+    def _sum(a, b):
+        return map(add, a, b)
+
+    @staticmethod
+    def _scaled(a, scalar):
+        return map(mul, a, repeat(scalar))
+
+    @staticmethod
+    def _weighted(a):
+        return map(mul, range(len(a)), a)
 
     @staticmethod
     def _product(a, b) -> list[Coefficient]:
@@ -331,14 +353,13 @@ class TruncatedSeries(_Series):
         """
         _checked_modulus(modulus)
         ints, d = _over_common_denominator(self._coeffs)
-        if d == 1:
-            return ResidueSeries(ints, modulus)
         if math.gcd(d, modulus) != 1:
             k, c = next((k, c) for k, c in enumerate(self._coeffs)
                         if math.gcd(c.denominator, modulus) != 1)
             raise ValueError(
                 f"coefficient {c} of q^{k} has denominator not invertible mod {modulus}")
-        return ResidueSeries(map(mul, ints, repeat(pow(d, -1, modulus))), modulus)
+        return ResidueSeries(ints if d == 1 else map(mul, ints, repeat(pow(d, -1, modulus))),
+                             modulus)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self._coeffs[:6])
@@ -352,12 +373,15 @@ def qd(series):
 
 
 class ResidueSeries(_Series):
-    """A truncated series with coefficients in Z/m, stored as integers in [0, m).
+    """A truncated series over Z/m, for a modulus m that divides 10, stored as bytes
+    in [0, m): one byte per coefficient.
 
     Coefficients must be ints: a float or Fraction raises TypeError rather
-    than being rounded into the ring.  Supports the ring operations, ** with
-    any integer exponent, inversion when the constant term is a unit mod m, and
-    reduction to Z/k for a divisor k of m.
+    than being rounded into the ring.  A bytes input is range-checked in C and
+    reduced only if a byte is m or more; any other input is reduced once, and
+    bytes() refuses any value that is not an int.  Supports the ring operations,
+    ** with any integer exponent, inversion when the constant term is a unit mod
+    m, and reduction to Z/k for a divisor k of m.
     """
 
     __slots__ = ("_modulus",)
@@ -367,32 +391,42 @@ class ResidueSeries(_Series):
         self._modulus = _checked_modulus(modulus)
         super().__init__(coeffs)
 
-    def _coerce(self, value) -> int:
-        if not isinstance(value, int):
-            raise TypeError(f"residue coefficient must be an int, got {type(value).__name__}")
-        return value % self._modulus
-
-    def _coerce_all(self, values: tuple) -> tuple:
-        if not {int}.issuperset(map(type, values)):
-            return tuple(map(self._coerce, values))
-        # Low-digit products and inverses are in [0, m): two scans, no reduction.
-        if max(values, default=0) < self._modulus and min(values, default=0) >= 0:
-            return values
-        return tuple(map(self._modulus.__rmod__, values))
-
-    def _product(self, a, b) -> list[int]:
-        # The one choice of slot layout: low digits when m divides 10, else the
-        # exact layout, whose whole product coefficients the constructor reduces.
+    def _coerce_all(self, values) -> bytes:
         m = self._modulus
-        return _convolution(a, b, m) if 10 % m == 0 else _convolution(a, b)
+        if type(values) is not bytes:
+            # bytes() takes only ints: a float or Fraction stays one after the %.
+            try:
+                return bytes(map(mod, values, repeat(m)))
+            except TypeError as error:
+                raise TypeError(f"residue coefficients must be ints: {error}") from None
+        # Deleting every residue leaves exactly the bytes that need reducing.
+        if values.translate(None, bytes(range(m))):
+            values = values.translate(_times(1, m))
+        return values
+
+    def _sum(self, a, b) -> bytes:
+        # Residues are below 10, so bytewise sums carry nothing into the next byte:
+        # one integer sum adds every pair.
+        total = int.from_bytes(a, "big") + int.from_bytes(b, "big")
+        return total.to_bytes(len(a), "big").translate(_times(1, self._modulus))
+
+    def _scaled(self, a, scalar: int) -> bytes:
+        return a.translate(_times(scalar, self._modulus))
+
+    def _weighted(self, a) -> bytes:
+        # k c_k mod m depends on k only through k mod m: one translate per nonzero
+        # class, and the class of 0 stays zero.
+        m = self._modulus
+        out = bytearray(len(a))
+        for k in range(1, m):
+            out[k::m] = a[k::m].translate(_times(k, m))
+        return bytes(out)
+
+    def _product(self, a, b) -> bytes:
+        return _convolution(a, b, self._modulus)
 
     def _new(self, coeffs) -> ResidueSeries:
         return ResidueSeries(coeffs, self._modulus)
-
-    def _common_order(self, other: ResidueSeries) -> int:
-        if self._modulus != other._modulus:
-            raise ValueError(f"modulus mismatch: {self._modulus} vs {other._modulus}")
-        return super()._common_order(other)
 
     @property
     def modulus(self) -> int:
@@ -406,7 +440,7 @@ class ResidueSeries(_Series):
         """
         if self._modulus % _checked_modulus(modulus):
             raise ValueError(f"{modulus} does not divide the modulus {self._modulus}")
-        return ResidueSeries(map(modulus.__rmod__, self._coeffs), modulus)
+        return ResidueSeries(self._coeffs.translate(_times(1, modulus)), modulus)
 
     def inverse(self) -> ResidueSeries:
         """Multiplicative inverse up to the truncation order, by Newton's iteration
@@ -414,7 +448,7 @@ class ResidueSeries(_Series):
         unit mod m."""
         f, m = self._coeffs, self._modulus
         try:
-            g = [pow(f[0], -1, m)]
+            g = bytes([pow(f[0], -1, m)])
         except ValueError:
             raise ZeroDivisionError(f"constant term {f[0]} is not a unit mod {m}, "
                                     "so the series has no inverse") from None
@@ -423,14 +457,9 @@ class ResidueSeries(_Series):
             # f g - 1 vanishes below q^h, so the correction g (f g - 1) starts at q^h:
             # g_h .. g_(n-1) are minus the low n - h coefficients of g_0 .. g_(n-h-1)
             # times (f g - 1) / q^h, whose low coefficients are those of f g from q^h.
-            rest = self._product(f[:n], g + [0] * (n - h))[h:]
-            g += [-c % m for c in self._product(rest, g[:n - h])]
+            rest = self._product(f[:n], g + bytes(n - h))[h:]
+            g += self._product(rest, g[:n - h]).translate(_times(-1, m))
         return self._new(g)
-
-    def __eq__(self, other):
-        if isinstance(other, ResidueSeries) and self._modulus != other._modulus:
-            return False
-        return super().__eq__(other)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self._coeffs[:8])

@@ -132,7 +132,7 @@ class TestMod10:
         # 7 - 3 + 12 = 16, residue 6.
         g = g_series(30).reduce_mod(10)
         mutated = 7 * (g * g) - g + 2 * qd(g)
-        assert mutated.coefficients[:3] == (0, 1, 6)
+        assert tuple(mutated.coefficients[:3]) == (0, 1, 6)
 
 
 class TestMod5Reduction:
@@ -277,6 +277,32 @@ class TestFailureReporting:
         with pytest.raises(TypeError, match="perturbation of parity_factor must be a pair"):
             run_all(order=5, names=["g_identity"], perturbations={"parity_factor": (3,)})
 
+    def test_perturbation_past_its_rows_order_rejected_before_any_row_is_built(self,
+                                                                               monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("a row was built")
+
+        # mod10 is built first, from the brace, and every residue power reads p_alpha.
+        monkeypatch.setattr("qbps.congruence.brace_series", unbuilt)
+        monkeypatch.setattr("qbps.congruence.p_alpha", unbuilt)
+        with pytest.raises(IndexError, match="outside stored range 0..1000$"):
+            run_all(perturbations={"mod2_reduction": (1001, 1)})
+        # support_lemma is checked against the support order, the others against order.
+        with pytest.raises(IndexError, match="outside stored range 0..10000$"):
+            run_all(perturbations={"support_lemma": (10001, 1)})
+        with pytest.raises(IndexError, match="outside stored range 0..40$"):
+            run_all(order=20, support_order=40, perturbations={"support_lemma": (41, 1)})
+        with pytest.raises(IndexError, match="outside stored range 0..20$"):
+            run_all(order=20, support_order=40, names=["support_lemma"],
+                    perturbations={"mod10": (21, 1), "support_lemma": (30, 1)})
+        with pytest.raises(IndexError, match="index -1 outside"):
+            run_all(order=20, names=["g_identity"], perturbations={"parity_factor": (-1, 1)})
+
+    def test_perturbation_within_the_support_order_accepted(self):
+        (result,) = run_all(order=20, support_order=40, names=["support_lemma"],
+                            perturbations={"support_lemma": (33, 1)})
+        assert result.first_failure == (33, 1)
+
     def test_perturbation_outside_the_order_rejected(self):
         with pytest.raises(IndexError, match="outside stored range 0..20"):
             check("mod10", 20, (21, 1))
@@ -408,6 +434,9 @@ class TestRunAll:
     def test_non_int_order_rejected(self, order):
         with pytest.raises(TypeError, match=f"order must be an int, got {type(order).__name__}"):
             run_all(order=order)
+        # A perturbation is range-checked only against an int order.
+        with pytest.raises(TypeError, match="order must be an int, got str"):
+            run_all(order="20", names=["mod10"], perturbations={"mod10": (1, 1)})
 
     def test_residue_rows_take_one_residue_inverse(self, monkeypatch):
         # P mod 10, reduced to 5 and 2 at the end, serves every residue row.
@@ -471,7 +500,7 @@ class TestRunAll:
         # reaches its brace as +7 (through 7 G G) and its right side as +1, and the
         # two cancel mod 2.
         (ResidueSeries, "_product",
-         _output(lambda c: c[:11] + [c[11] + 1] + c[12:] if len(c) > 11 else c),
+         _output(lambda c: c[:11] + bytes([c[11] + 1]) + c[12:] if len(c) > 11 else c),
          {"mod10", "mod5_reduction", "support_lemma", "support_consequence"}),
         # The trial-division sigma that n1_fiber reads, not the sieve behind G.
         (gw, "sigma", lambda sigma: lambda k: sigma(k) + (k == 7), {"b_routes"}),

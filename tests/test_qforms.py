@@ -105,6 +105,22 @@ class TestGSeries:
         assert g_series(3000).coefficients == (0, *map(sigma, range(1, 3001)))
         assert [g_series(n).coefficients for n in range(3)] == [(0,), (0, 1), (0, 1, 3)]
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 300])
+    @pytest.mark.parametrize("m", [2, 5, 10])
+    def test_residues_are_the_exact_series_reduced(self, order, m):
+        g = g_series(order, m)
+        assert (g.order, g.modulus) == (order, m)
+        assert g.coefficients == g_series(order).reduce_mod(m).coefficients
+
+    def test_residues_hold_no_exact_series(self, monkeypatch):
+        # G mod m comes from its own sieve table, not from the cached exact G.
+        def refused(catalog):
+            raise AssertionError("exact G built")
+
+        catalog_for.cache_clear()
+        monkeypatch.setattr(QFormCatalog, "divisor_sum", property(refused))
+        assert tuple(g_series(6, 10).coefficients) == (0, 1, 3, 4, 7, 6, 2)
+
 
 class TestIdentities:
     def test_divisor_series_is_logarithmic_derivative(self):
@@ -218,5 +234,5 @@ class TestPowerMod:
         cat = QFormCatalog(40)
         assert cat.power(2, 5) is cat.power(2, 5)
         assert cat.power(2, 5) is not cat.power(2, 10)
-        assert cat.power(-3, 7) == cat.power(-1, 7) ** 3
-        assert cat.power(0, 3) == 1
+        assert cat.power(-3, 2) == cat.power(-1, 2) ** 3
+        assert cat.power(0, 5) == 1

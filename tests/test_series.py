@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import convolve, invert, invert_mod
+from qbps.bps import brace_series
 from qbps.qforms import p_alpha, partition_series
 from qbps.series import TruncatedSeries, ResidueSeries, qd
 
@@ -188,7 +189,7 @@ class TestKernel:
     def test_residue_square_mod_10(self, oracle):
         r = [(k * k + 7 * k + 9) % 10 for k in range(500)]
         f = ResidueSeries(r, 10)
-        assert (f * f).coefficients == tuple(c % 10 for c in oracle.convolve(r, r))
+        assert tuple((f * f).coefficients) == tuple(c % 10 for c in oracle.convolve(r, r))
 
 
 class TestInverse:
@@ -260,11 +261,11 @@ class TestQDerivative:
 class TestReduceMod:
     def test_multiple_of_modulus_vanishes(self):
         r = S(0, 0, 10).reduce_mod(10)
-        assert r.coefficients == (0, 0, 0)
+        assert tuple(r.coefficients) == (0, 0, 0)
 
     def test_fraction_uses_modular_inverse(self):
         r = S(Fraction(1, 2)).reduce_mod(5)
-        assert r.coefficients == (3,)
+        assert tuple(r.coefficients) == (3,)
 
     def test_shared_factor_rejected(self):
         with pytest.raises(ValueError):
@@ -279,7 +280,7 @@ class TestReduceMod:
             S(1).reduce_mod(1)
 
     def test_negative_coefficients_normalize(self):
-        assert S(-1, -7).reduce_mod(5).coefficients == (4, 3)
+        assert tuple(S(-1, -7).reduce_mod(5).coefficients) == (4, 3)
 
 
 class TestCoefficientAccess:
@@ -413,7 +414,7 @@ def test_pow_additivity(f, a, b):
 
 
 @settings(max_examples=100, deadline=None)
-@given(f=INT_SERIES, g=INT_SERIES, m=st.sampled_from([2, 3, 5, 7, 10]))
+@given(f=INT_SERIES, g=INT_SERIES, m=st.sampled_from([2, 5, 10]))
 def test_reduction_is_ring_morphism(f, g, m):
     assert (f * g).reduce_mod(m) == f.reduce_mod(m) * g.reduce_mod(m)
     assert (f + g).reduce_mod(m) == f.reduce_mod(m) + g.reduce_mod(m)
@@ -427,7 +428,7 @@ def test_reduction_is_ring_morphism(f, g, m):
 class TestResidueSeries:
     def test_normalizes_into_range(self):
         r = ResidueSeries([-1, 7, 12], 5)
-        assert r.coefficients == (4, 2, 2)
+        assert tuple(r.coefficients) == (4, 2, 2)
 
     def test_inexact_coefficients_rejected(self):
         with pytest.raises(TypeError):
@@ -452,19 +453,33 @@ class TestResidueSeries:
             S(Fraction(1, 3), 2).reduce_mod(modulus)
 
     def test_modulus_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ResidueSeries([1], 5) + ResidueSeries([1], 7)
+        with pytest.raises(ValueError, match="modulus mismatch: 5 vs 2"):
+            ResidueSeries([1], 5) + ResidueSeries([1], 2)
 
     def test_values_in_range_are_kept(self):
-        values = (0, 9, 3, 0)
+        values = bytes((0, 9, 3, 0))
         assert ResidueSeries(values, 10).coefficients is values
 
+    def test_coefficients_are_bytes(self):
+        for r in (ResidueSeries([3, 8, 1], 10), S(1, -2).reduce_mod(5),
+                  ResidueSeries([1, 1, 0], 2) * ResidueSeries([1, 1, 1], 2),
+                  ResidueSeries([1, 4], 5).inverse(), qd(ResidueSeries([1, 4], 5))):
+            assert type(r.coefficients) is bytes
+
+    @pytest.mark.parametrize("m, want", [(2, (1, 0, 1)), (5, (0, 0, 4)), (10, (5, 0, 9))])
+    def test_bytes_at_or_past_the_modulus_are_reduced(self, m, want):
+        assert tuple(ResidueSeries(bytes([255, 10, 9]), m).coefficients) == want
+
+    def test_bools_and_negative_ints_accepted(self):
+        assert tuple(ResidueSeries([True, -1, False, -13], 10).coefficients) == (1, 9, 0, 7)
+        assert tuple(ResidueSeries([-2 ** 70 - 1, True], 5).coefficients) == (
+            (-2 ** 70 - 1) % 5, 1)
+
     def test_mul_matches_naive_convolution(self, oracle):
-        prime = 2 ** 127 - 1
         cases = [
             ([3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8], 10),
-            ([prime - 1] * 9, [prime - 2] * 9, prime),
-            ([0, 0, 0, 0], [1, 2, 3, 4], 7),
+            ([9] * 9, [8] * 9, 10),
+            ([0, 0, 0, 0], [1, 2, 3, 4], 2),
             ([4], [3], 5),
         ]
         for a, b, m in cases:
@@ -473,23 +488,23 @@ class TestResidueSeries:
             assert list(got.coefficients) == want
 
     def test_mul_truncates_to_min_order(self):
-        a = ResidueSeries([1, 1, 1, 1], 7)
-        b = ResidueSeries([1, 1], 7)
+        a = ResidueSeries([1, 1, 1, 1], 5)
+        b = ResidueSeries([1, 1], 5)
         assert (a * b).order == 1
 
     def test_scalar_ops(self):
         r = ResidueSeries([1, 2, 3], 5)
-        assert (3 * r).coefficients == (3, 1, 4)
-        assert (r - r).coefficients == (0, 0, 0)
-        assert (r + 4).coefficients == (0, 2, 3)
-        assert (3 - r).coefficients == (2, 3, 2)
+        assert tuple((3 * r).coefficients) == (3, 1, 4)
+        assert tuple((r - r).coefficients) == (0, 0, 0)
+        assert tuple((r + 4).coefficients) == (0, 2, 3)
+        assert tuple((3 - r).coefficients) == (2, 3, 2)
 
     def test_pow(self):
         r = ResidueSeries([1, 1, 0, 0], 5)
-        assert (r ** 3).coefficients == (1, 3, 3, 1)
-        assert (r ** 0).coefficients == (1, 0, 0, 0)
-        assert (r ** -1).coefficients == (1, 4, 1, 4)
-        assert (r ** -2).coefficients == (1, 3, 3, 1)
+        assert tuple((r ** 3).coefficients) == (1, 3, 3, 1)
+        assert tuple((r ** 0).coefficients) == (1, 0, 0, 0)
+        assert tuple((r ** -1).coefficients) == (1, 4, 1, 4)
+        assert tuple((r ** -2).coefficients) == (1, 3, 3, 1)
         with pytest.raises(TypeError):
             r ** Fraction(1, 2)
 
@@ -499,25 +514,21 @@ class TestResidueSeries:
         with pytest.raises(ZeroDivisionError, match="mod 5"):
             ResidueSeries([5, 1], 5) ** -3
 
-    def test_inverse_without_far_terms_keeps_wide_residues(self, oracle):
-        # Sparse series whose inverses hold 64-bit residues: 1/2, 1/3 and their powers.
-        m = 2 ** 64 + 13
-        for coeffs in ([2], [2, 1, 0, 0, 0, 0, 0, 0, 0], [3, 0, 5, 0, 0, 0, 0, 0, 0]):
-            got = ResidueSeries(coeffs, m).inverse().coefficients
-            assert list(got) == oracle.invert_mod(coeffs, m)
-
     def test_bools_demote_to_plain_int(self):
         r = ResidueSeries([True, 3, False], 2)
         assert [type(c) for c in r.coefficients] == [int] * 3
-        assert r.coefficients == (1, 1, 0)
+        assert tuple(r.coefficients) == (1, 1, 0)
 
     def test_q_derivative(self):
-        r = ResidueSeries([4, 1, 1, 1], 3)
-        assert qd(r).coefficients == (0, 1, 2, 0)
+        r = ResidueSeries([4, 1, 1, 1], 5)
+        assert tuple(qd(r).coefficients) == (0, 1, 2, 3)
+        # Past the modulus, k c_k wraps with k: k^2 mod 10.
+        squares = qd(ResidueSeries(range(13), 10))
+        assert tuple(squares.coefficients) == (0, 1, 4, 9, 6, 5, 6, 9, 4, 1, 0, 1, 4)
 
     def test_with_coefficient(self):
-        r = ResidueSeries([1, 2, 3], 7)
-        assert r.with_coefficient(1, -1).coefficients == (1, 6, 3)
+        r = ResidueSeries([1, 2, 3], 10)
+        assert tuple(r.with_coefficient(1, -1).coefficients) == (1, 9, 3)
 
     def test_scalar_equality(self):
         assert ResidueSeries([5, 10], 5) == 0
@@ -526,7 +537,7 @@ class TestResidueSeries:
         assert ResidueSeries([1, 1], 5) != 1
 
     def test_equality_requires_same_modulus(self):
-        assert ResidueSeries([1, 2], 5) != ResidueSeries([1, 2], 7)
+        assert ResidueSeries([1, 2], 5) != ResidueSeries([1, 2], 10)
         assert ResidueSeries([1, 2, 3], 5) == ResidueSeries([1, 2], 5)
 
 
@@ -545,8 +556,13 @@ class TestResidueReduceMod:
 
     @pytest.mark.parametrize("modulus", [3, 4, 20])
     def test_non_divisor_rejected(self, modulus):
-        with pytest.raises(ValueError, match=f"{modulus} does not divide the modulus 10"):
+        with pytest.raises(ValueError, match=f"must be at least 2 and divide 10, got {modulus}"):
             ResidueSeries([1, 2], 10).reduce_mod(modulus)
+
+    @pytest.mark.parametrize("modulus, k", [(5, 2), (2, 5), (2, 10), (5, 10)])
+    def test_divisor_of_ten_but_not_of_the_modulus_rejected(self, modulus, k):
+        with pytest.raises(ValueError, match=f"{k} does not divide the modulus {modulus}"):
+            ResidueSeries([1, 2], modulus).reduce_mod(k)
 
     @pytest.mark.parametrize("modulus", [5.0, True, Fraction(5)], ids=["float", "bool", "fraction"])
     def test_non_int_rejected(self, modulus):
@@ -554,11 +570,57 @@ class TestResidueReduceMod:
             ResidueSeries([1, 2], 10).reduce_mod(modulus)
 
 
+@pytest.mark.parametrize("m", [3, 4, 7, 20, 256])
+def test_modulus_that_does_not_divide_ten_rejected(m):
+    message = f"modulus must be at least 2 and divide 10, got {m}"
+    with pytest.raises(ValueError, match=message):
+        ResidueSeries([1, 2], m)
+    with pytest.raises(ValueError, match=message):
+        S(1, 2).reduce_mod(m)
+    with pytest.raises(ValueError, match=message):
+        p_alpha(2, 20, m)
+    with pytest.raises(ValueError, match=message):
+        brace_series(20, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.sampled_from([2, 5, 10]), data=st.data())
+def test_residue_operations_match_the_exact_series_reduced(m, data):
+    # Every residue operation against the same operation on the exact series,
+    # reduced afterwards: reduction is a ring morphism onto Z/m.
+    ints = st.lists(st.one_of(st.integers(-30, 30), st.sampled_from([0, 1, m - 1, m])),
+                    min_size=1, max_size=40)
+    a, b = data.draw(ints), data.draw(ints)
+    scalar, exponent = data.draw(st.integers(-25, 25)), data.draw(st.integers(0, 5))
+    k = data.draw(st.integers(0, len(a) - 1))
+    f, g, fr, gr = S(*a), S(*b), ResidueSeries(a, m), ResidueSeries(b, m)
+
+    def same(residues, exact):
+        reduced = exact.reduce_mod(m)
+        return residues.modulus == m and residues.coefficients == reduced.coefficients
+
+    assert same(fr + gr, f + g) and same(fr - gr, f - g) and same(-fr, -f)
+    assert same(fr + scalar, f + scalar) and same(scalar - fr, scalar - f)
+    assert same(fr * scalar, f * scalar) and same(scalar * fr, scalar * f)
+    assert same(fr * gr, f * g) and same(fr * fr, f * f) and same(fr ** exponent, f ** exponent)
+    assert same(qd(fr), qd(f))
+    assert same(fr.with_coefficient(k, scalar), f.with_coefficient(k, scalar))
+    for divisor in (2, 5, 10):
+        if m % divisor == 0:
+            assert fr.reduce_mod(divisor).coefficients == f.reduce_mod(divisor).coefficients
+    assert (fr == scalar) == ((a[0] - scalar) % m == 0 and all(c % m == 0 for c in a[1:]))
+    if gcd(a[0], m) == 1:
+        assert same(fr.inverse(), f.inverse()) and same(fr ** -exponent, f ** -exponent)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            fr.inverse()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     a=st.lists(st.integers(0, 99), min_size=1, max_size=40),
     b=st.lists(st.integers(0, 99), min_size=1, max_size=40),
-    m=st.integers(2, 100),
+    m=st.sampled_from([2, 5, 10]),
 )
 def test_packed_convolution_matches_schoolbook(a, b, m):
     n = min(len(a), len(b))
@@ -608,7 +670,7 @@ def residue_inverse_inputs(draw):
     anywhere, or next to each multiple of isqrt(len).  Values include 1, m - 1,
     m/2 and m/2 + 1.  The constant term is any residue, a non-unit included.
     """
-    m = draw(st.sampled_from([2, 5, 10, 255, 256, 257, 2 ** 64 + 13]))
+    m = draw(st.sampled_from([2, 5, 10]))
     block = draw(st.integers(1, 17))
     length = draw(st.one_of(st.integers(1, 300), st.builds(
         lambda k, d: max(1, k * block + d), st.integers(block, block + 2), st.integers(-1, 1))))
@@ -647,6 +709,11 @@ def test_residue_inverse_at_the_doubling_edges(m, length):
     # Newton's iteration knows 1, 2, 4, 8, ... coefficients after each step, so a
     # length at a power of two ends on a full step and one past it on a step of one.
     f = [(104729 * k * k + 7919 * k + 3) % m for k in range(length)]
+    if 10 % m:
+        # Residues exist only mod a divisor of 10, so there is no series to invert.
+        with pytest.raises(ValueError, match=f"must be at least 2 and divide 10, got {m}"):
+            ResidueSeries(f, m)
+        return
     f[0] = m - 1
     assert list(ResidueSeries(f, m).inverse().coefficients) == invert_mod(f, m)
     f[0] = 0
