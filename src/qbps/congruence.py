@@ -77,10 +77,11 @@ __all__ = [
     "DEFAULT_COMPOSITE_ORDER", "DEFAULT_SUPPORT_ORDER",
 ]
 
-# Recommended sweep depths for a bare run_all(), which then takes 0.17-0.26 s on 2
-# vCPUs (median 0.18 s), about half of it in exact products (P^12, N1, the brace,
-# B) and 0.05 s in b_direct_series' dot products.  The support lemma at order
-# 10^4 reads P^2 mod 10 reduced to 5, about 0.015 s; it needs no exact P.
+# Recommended sweep depths for a bare run_all(), which then takes 0.22-0.23 s on 2
+# vCPUs (median 0.22 s over 7 fresh processes), 0.10 s of it in exact products
+# (P^12, N1, the brace, B) and 0.09 s in b_direct_series, its product N1
+# included.  The support lemma at order 10^4 reads P^2 mod 10 reduced to 5,
+# about 0.015 s; it needs no exact P.
 # Callers (and the CLI) can pass anything.
 DEFAULT_COMPOSITE_ORDER = 1000
 DEFAULT_SUPPORT_ORDER = 10000
@@ -159,11 +160,11 @@ def _mod2_reduction(order: int):
 
 
 def _parity_factor(order: int):
+    # (D^2 + D) P as D(DP + P), so at most three exact series are alive at once.
     # Checked over the integers: coefficient k must be exactly k(k+1)p(k),
     # built lazily so no second series of that length is held.
     p = partition_series(order)
-    dp = qd(p)
-    return qd(dp) + dp, lambda cs: map(
+    return qd(qd(p) + p), lambda cs: map(
         ne, cs, map(mul, map(mul, count(), count(1)), p.coefficients))
 
 

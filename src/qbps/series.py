@@ -39,6 +39,7 @@ smaller order, and equality compares coefficients up to the smaller order.
 from __future__ import annotations
 
 import math
+import sys
 from decimal import MAX_EMAX, MAX_PREC, Context, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -103,11 +104,16 @@ def _convolution(a, b, modulus: int | None = None) -> list[int] | bytes:
 
     * exact digits: slots sized from max(sum_i |a_i| max_(j<=len-1-i) |b_j|,
       max|a|, max|b|), which bounds each operand and every low product
-      coefficient, with one digit more for a sign: a value sits offset by half
-      the slot range.  The read-back adds the offsets and 10^(2 span), which
-      exceeds |packed a * packed b|, so the sum is positive and the added power
-      leaves its low digits unchanged.  Each slot is read back whole, through
-      one Decimal, so slots past the int/str digit limit stay exact.
+      coefficient, with one digit more for a sign: a value c sits offset by
+      half the slot range, so c + half has exactly width digits.  A sequence is
+      packed as the join of str(c + half) minus the offsets, one half per slot,
+      built by doubling a block of slots along the binary expansion of the
+      length.  The read-back adds the offsets and 10^(2 span), which exceeds
+      |packed a * packed b|, so the sum is positive and the added power leaves
+      its low digits unchanged; each slot is then int(its width digits) - half.
+      str and int refuse more digits than the interpreter's int/str digit
+      limit, so slots wider than the limit, read at each product, are packed
+      and read back through Decimal instead.
     * low digits, for residues: slots sized from max(sum_i a_i max_j b_j, m - 1).
       Each residue byte is translated to its ASCII digit, the low digit of its
       slot.  The low digit of a product slot, mod m, is the product coefficient
@@ -124,19 +130,32 @@ def _convolution(a, b, modulus: int | None = None) -> list[int] | bytes:
         # 10^(width-1) > 2^bit_length > bound: one digit more for the offset.
         width = bound.bit_length() * 30103 // 100000 + 2
         half = 5 * 10 ** (width - 1)
-        bias = _EXACT.create_decimal(("5" + "0" * (width - 1)) * length)
+        # The offsets, one half in each of `slots` slots, from the leading bit down.
+        slot = _EXACT.create_decimal(half)
+        bias, slots = slot, 1
+        for bit in bin(length)[3:]:
+            bias = _EXACT.add(_EXACT.scaleb(bias, width * slots), bias)
+            slots *= 2
+            if bit == "1":
+                bias = _EXACT.add(_EXACT.scaleb(bias, width), slot)
+                slots += 1
+        # A limit of 0, or an interpreter without one, lets str and int take any width.
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if 0 < limit < width:
+            to_digits, from_digits = _EXACT.to_sci_string, lambda s: int(_EXACT.create_decimal(s))
+        else:
+            to_digits, from_digits = str, int
 
         def packed(v):
             # sum v[i] 10^(width i).  |c| < 10^(width-1) for every operand and low
             # product coefficient c, so c + half has exactly width digits: no padding.
             return _EXACT.subtract(_EXACT.create_decimal("".join(
-                map(_EXACT.to_sci_string, [c + half for c in reversed(v)]))), bias)
+                [to_digits(c + half) for c in reversed(v)])), bias)
 
         def read(raw):
             raw = _EXACT.add(_EXACT.add(raw, bias), _EXACT.scaleb(1, 2 * span))
             digits = _EXACT.to_sci_string(low.shift(raw, 0)).zfill(span)
-            return [int(c) - half for c in map(
-                _EXACT.create_decimal, [digits[i - width:i] for i in range(span, 0, -width)])]
+            return [from_digits(digits[i - width:i]) - half for i in range(span, 0, -width)]
     else:
         # Residues are their own sizes.  sum(a) max(b) is about as tight as the
         # prefix-maximum bound, since max(b) comes early, and far cheaper: max(b)

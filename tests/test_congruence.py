@@ -502,6 +502,15 @@ class TestRunAll:
         (ResidueSeries, "_product",
          _output(lambda c: c[:11] + bytes([c[11] + 1]) + c[12:] if len(c) > 11 else c),
          {"mod10", "mod5_reduction", "support_lemma", "support_consequence"}),
+        # A fault in q d/dq, the only kind parity_factor can catch.  D reaches the
+        # exact rows through DP, DG and D(P^12), and the residue rows through DG
+        # in the brace and (D^2 - D) P_2.
+        (TruncatedSeries, "_weighted", _output(lambda c: [x + (k == 7) for k, x in enumerate(c)]),
+         {"b_integrality", "b_intermediate", "b_routes", "g_identity", "p12_identity",
+          "parity_factor"}),
+        (ResidueSeries, "_weighted", lambda weighted: lambda self, a: bytes(
+            (x + (k == 7)) % self.modulus for k, x in enumerate(weighted(self, a))),
+         {"mod10", "mod2_reduction", "mod5_reduction", "support_consequence"}),
         # The trial-division sigma that n1_fiber reads, not the sieve behind G.
         (gw, "sigma", lambda sigma: lambda k: sigma(k) + (k == 7), {"b_routes"}),
         (gw.SurfaceContext, "genus",
@@ -510,7 +519,8 @@ class TestRunAll:
         (bps, "NINE_POINT_BLOWUP", lambda _: gw.SurfaceContext(euler_characteristic=13),
          {"b_routes"}),
     ], ids=["exact_inverse", "residue_inverse", "pentagonal", "sigma_table",
-            "exact_product", "residue_product", "n1_fiber_sigma", "genus", "chi"])
+            "exact_product", "residue_product", "exact_qd", "residue_qd", "n1_fiber_sigma",
+            "genus", "chi"])
     def test_fault_fails_exactly_the_rows_that_depend_on_it(self, monkeypatch, owner, attr,
                                                             fault, failing):
         # One damaged value in one building block: the rows built from it fail,

@@ -3,7 +3,9 @@
 import decimal
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +144,40 @@ class TestKernel:
         assert (f * TruncatedSeries(b)).coefficients == tuple(oracle.convolve(a, b))
         assert (f * f).coefficients == tuple(oracle.convolve(a, a))
         assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("limit", [640, 4300, 0], ids=lambda n: f"limit-{n}")
+    @pytest.mark.parametrize("magnitude, width", [
+        (10 ** 318, 639), (3 * 10 ** 318, 640), (10 ** 320, 643)],
+        ids=["width-639", "width-640", "width-643"])
+    def test_slots_across_the_int_str_digit_limit(self, oracle, limit, magnitude, width):
+        # 640 is the smallest limit CPython accepts, 0 means no limit.  Slots
+        # of 639, 640 and 643 digits land below, at and above the smallest.
+        a = [(-1) ** k * magnitude + k for k in range(12)]
+        b = [(-1) ** (k // 3) * magnitude - 2 * k for k in range(12)]
+        # The kernel's slot width, so each case stays where it is meant to land.
+        reach = list(accumulate(map(abs, b), max))
+        bound = sum(map(mul, map(abs, a), reversed(reach)))
+        assert bound.bit_length() * 30103 // 100000 + 2 == width
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            for x, y in [(a, b), (b, a), (a, a), (b, b)]:
+                f = TruncatedSeries(x)
+                product = f * f if x is y else f * TruncatedSeries(y)
+                assert product.coefficients == tuple(oracle.convolve(x, y))
+                assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(before)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 8, 9, 31, 32, 33, 64, 65])
+    def test_signed_products_at_each_length(self, oracle, length):
+        # The slot offsets are built by doubling along the binary expansion of
+        # the length: these lengths sit on either side of its powers of two.
+        a = [(-1) ** k * 3 ** (k % 7 + 20) - k for k in range(length)]
+        b = [(-1) ** (k // 2) * 7 ** (k % 5 + 9) + 2 * k for k in range(length)]
+        f = TruncatedSeries(a)
+        assert (f * TruncatedSeries(b)).coefficients == tuple(oracle.convolve(a, b))
+        assert (f * f).coefficients == tuple(oracle.convolve(a, a))
 
     def test_ignores_the_callers_decimal_context(self, oracle):
         a = [3 ** 40 * k - 7 for k in range(-15, 15)]
