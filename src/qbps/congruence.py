@@ -77,9 +77,9 @@ __all__ = [
     "DEFAULT_COMPOSITE_ORDER", "DEFAULT_SUPPORT_ORDER",
 ]
 
-# Recommended sweep depths for a bare run_all(), which then takes 0.22-0.23 s on 2
-# vCPUs (median 0.22 s over 7 fresh processes), 0.10 s of it in exact products
-# (P^12, N1, the brace, B) and 0.09 s in b_direct_series, its product N1
+# Recommended sweep depths for a bare run_all(), which then takes 0.16-0.23 s on 2
+# vCPUs (median 0.18 s over 7 fresh processes), 0.09 s of it in exact products
+# (P^12, N1, the brace, B) and 0.09-0.10 s in b_direct_series, its product N1
 # included.  The support lemma at order 10^4 reads P^2 mod 10 reduced to 5,
 # about 0.015 s; it needs no exact P.
 # Callers (and the CLI) can pass anything.
@@ -174,8 +174,8 @@ def _g_identity(order: int):
 
 def _p12_identity(order: int):
     # D(P^12) - 12 P^12 G, with the product P^12 G read from A = -P^12 G.
-    # P^12 itself comes from repeated squaring of P, never from this
-    # recurrence, and a_routes checks A against the direct route.
+    # P^12 itself is (P^3)^4, with P^3 the inverse of Euler's series cubed, never
+    # built from this recurrence, and a_routes checks A against the direct route.
     return qd(p_alpha(12, order)) + 12 * a_closed_series(order), _nonzero
 
 

@@ -20,9 +20,13 @@ Python object.
 
 Each coefficient domain has its own inverter, the faster one in that domain.
 Exact series use forward substitution, g_k = -(f_1 g_(k-1) + ... +
-f_k g_0) / f_0, over the nonzero f_i only.  Each term is scaled by -1/f_0 once
-and grouped by its value c, so g_k is one sum per value: c times the sum of the
-history that value's terms read, fetched by one itemgetter per value.
+f_k g_0) / f_0, over the nonzero f_i only.  Each term is scaled by -1/f_0 once,
+to c_i = -f_i / f_0, and g_k = sum_i c_i g_(k-i) is three sums, each over history
+fetched by one itemgetter: that of the terms with c_i = 1, less that of the
+terms with c_i = -1, plus one dot product of every other c_i with its history.
+The catalog inverts two lacunary series: Euler's P^-1, whose terms are all +-1,
+and (P^-1)^3, whose terms +-(2k+1) are all distinct, so that grouping them by
+value would still cost a sum and a multiply per term.
 Newton's iteration over exact coefficients measured four to five times slower
 on Euler's P^-1 (0.56 s against 0.11 s at order 10^4, 4.1-4.6 s against
 0.79-0.99 s at 5 10^4; CPython 3.11, 2 vCPUs), so exact series keep the
@@ -74,7 +78,8 @@ def _checked_modulus(modulus) -> int:
 
 def _times(scalar: int, modulus: int) -> bytes:
     """The translation table that takes each byte b to scalar b mod m."""
-    return bytes(scalar * b % modulus for b in range(256))
+    # scalar b mod m depends on b only through b mod m: one period, repeated.
+    return (bytes(scalar * b % modulus for b in range(modulus)) * (256 // modulus + 1))[:256]
 
 
 def _over_common_denominator(coeffs):
@@ -330,7 +335,14 @@ class TruncatedSeries(_Series):
 
     @staticmethod
     def _scaled(a, scalar):
-        return map(mul, a, repeat(scalar))
+        if isinstance(scalar, int) or not {int}.issuperset(map(type, a)):
+            return map(mul, a, repeat(scalar))
+        # Ints c times a Fraction n/d: one divmod of n c by d, and a Fraction only
+        # where the remainder is nonzero, so each result has the value and the type
+        # of c * (n/d), an int wherever it is integral.
+        n, d = scalar.numerator, scalar.denominator
+        return [q if not r else Fraction(q * d + r, d)
+                for q, r in map(divmod, a if n == 1 else map(mul, a, repeat(n)), repeat(d))]
 
     @staticmethod
     def _weighted(a):
@@ -344,24 +356,36 @@ class TruncatedSeries(_Series):
 
     def inverse(self) -> TruncatedSeries:
         """Multiplicative inverse up to the truncation order, by forward substitution
-        over terms grouped by value (see the module docstring); ZeroDivisionError if
-        the constant term is 0."""
+        over the nonzero terms: those of scaled value +-1 summed, the rest in one dot
+        product (see the module docstring); ZeroDivisionError if the constant term is 0."""
         f = self._coeffs
         if f[0] == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
         inv0 = _normalize(Fraction(1) / f[0])
-        # Offsets -i of the terms with value c = -f_i / f_0 that have entered, and one
-        # getter per value over them, rebuilt only when the value gains a term.
-        groups, getters = {}, {}
-        # g[0] is a zero every group also reads, so a one-term getter still returns
-        # a tuple; g[k] holds g_(k-1), so g_(k-i) is g[-i] while g_k is appended.
+        # Offsets -i of the terms that have entered, split by c = -f_i / f_0 into
+        # c = 1, c = -1 and the rest, whose values c are kept in step with their
+        # offsets; each getter is rebuilt only when its list gains a term.
+        ones, minus_ones, others, values = [0], [0], [0], [0]
+        # g[0] is a zero every getter also reads, twice before any term enters, so a
+        # getter always returns a tuple; g[k] holds g_(k-1), so g_(k-i) is g[-i]
+        # while g_k is appended.
+        get_ones = get_minus_ones = get_others = itemgetter(0, 0)
         g = [0, inv0]
         for k in range(1, len(f)):
             if f[k]:
                 c = -inv0 * f[k]
-                groups.setdefault(c, [0]).append(-k)
-                getters[c] = itemgetter(*groups[c])
-            g.append(sum([c * sum(get(g)) for c, get in getters.items()]))
+                if c == 1:
+                    ones.append(-k)
+                    get_ones = itemgetter(*ones)
+                elif c == -1:
+                    minus_ones.append(-k)
+                    get_minus_ones = itemgetter(*minus_ones)
+                else:
+                    others.append(-k)
+                    values.append(c)
+                    get_others = itemgetter(*others)
+            g.append(sum(get_ones(g)) - sum(get_minus_ones(g))
+                     + sum(map(mul, values, get_others(g))))
         return self._new(g[1:])
 
     def reduce_mod(self, modulus: int) -> ResidueSeries:

@@ -77,6 +77,14 @@ class TestPAlpha:
         iterated = reduce(oracle.convolve, [coeffs] * 12)
         assert list(p_alpha(12, 40).coefficients) == iterated
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 60, 300])
+    def test_cube_and_twelfth_power_are_powers_of_p(self, order):
+        # P^3 is the inverse of Euler's cube and P^12 its fourth power; P ** alpha
+        # is the same power built from P.
+        p = partition_series(order)
+        assert p_alpha(3, order).coefficients == (p ** 3).coefficients
+        assert p_alpha(12, order).coefficients == (p ** 12).coefficients
+
     def test_power_pairs_cancel(self):
         for alpha in (1, 2, 3, 12):
             assert p_alpha(alpha, 40) * p_alpha(-alpha, 40) == 1
@@ -212,20 +220,28 @@ class TestCatalog:
 
         cat = QFormCatalog(300)
         f = TruncatedSeries([Fraction(2, 3), 5, -1, Fraction(7, 11)])
+        p_inv3 = cat.power(-3)
         with monkeypatch.context() as patch:
             patch.setattr("qbps.series._convolution", no_product)
-            p, f_inv = cat.partition, f.inverse()
+            p, p3, f_inv = cat.partition, cat.power(3), f.inverse()
         p_inv = cat.power(-1)
         assert f * f_inv == 1
+        assert p3 * p_inv3 == 1
         assert cat.power(-2) == p_inv * p_inv
         assert cat.power(12).order == 300
         assert p * p_inv == 1
+
+    def test_twelfth_power_builds_no_partition_series(self):
+        cat = QFormCatalog(300)
+        cat.power(12)
+        assert (3, None) in cat._series
+        assert (1, None) not in cat._series
 
 
 class TestPowerMod:
     @pytest.mark.parametrize("order", [*range(11), 300, 2000, 10000])
     def test_equals_the_exact_power_reduced(self, order):
-        for alpha in (-2, -1, 1, 2):
+        for alpha in (-2, -1, 1, 2, 3) + ((12,) if order <= 300 else ()):
             for m in (2, 5, 10):
                 assert digest(p_alpha(alpha, order, m)) == digest(
                     p_alpha(alpha, order).reduce_mod(m)), (alpha, m)

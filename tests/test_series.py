@@ -3,14 +3,14 @@
 import decimal
 import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd, isqrt
 from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import convolve, invert, invert_mod
+from conftest import convolve, invert, invert_mod, pentagonal
 from qbps.bps import brace_series
 from qbps.qforms import p_alpha, partition_series
 from qbps.series import TruncatedSeries, ResidueSeries, qd
@@ -104,6 +104,18 @@ class TestMul:
     def test_scalar_mul(self):
         assert (S(1, -2) * Fraction(1, 2)).coefficients == (Fraction(1, 2), -1)
         assert (3 * S(1, -2)).coefficients == (3, -6)
+
+    @pytest.mark.parametrize("scalar", [Fraction(3, 10), Fraction(-1, 2)])
+    def test_fraction_scaling_matches_the_fraction_products(self, scalar):
+        # Some coefficients are divisible by 10 or 2 and some are not; the second
+        # series already holds a Fraction, so it is scaled by Fraction products.
+        ints = [0, 1, -1, 2, -2, 5, 10, -10, 7, 30, -33, 10 ** 40 + 5, -(10 ** 40)]
+        for coeffs in (ints, ints[:4] + [Fraction(5, 3)] + ints[4:]):
+            want = [c.numerator if c.denominator == 1 else c
+                    for c in map(mul, coeffs, repeat(scalar))]
+            for scaled in (TruncatedSeries(coeffs) * scalar, scalar * TruncatedSeries(coeffs)):
+                assert list(scaled.coefficients) == want
+                assert list(map(type, scaled.coefficients)) == list(map(type, want))
 
     def test_matches_naive_convolution(self, oracle):
         big = 2 ** 200
@@ -250,6 +262,23 @@ class TestInverse:
         inv = S(2, 0, 0, -1, 0, 0, 0).inverse()
         assert inv.coefficients == (Fraction(1, 2), 0, 0, Fraction(1, 4), 0, 0, Fraction(1, 8))
         assert [type(c) for c in inv.coefficients] == [Fraction, int, int] * 2 + [Fraction]
+
+    # c = -f_i / f_0 of each term: only +-1 (Euler's P^-1); none +-1 ((P^-1)^3, whose
+    # terms are (-1)^k (2k+1) by Jacobi's identity); both; under a lead of -1; and under
+    # a Fraction lead, where c is Fraction(1), Fraction(-1), an integral Fraction
+    # (Fraction(-3)), a proper Fraction or an int.
+    @pytest.mark.parametrize("f", [
+        TruncatedSeries(pentagonal(300)),
+        TruncatedSeries(pentagonal(300)) ** 3,
+        S(1, -1, 2, -1, 0, 3, 0, 0, -1, 0, 0, 0, 7),
+        S(-1, 1, 0, -3, -1, 0, 1, 2, 0, 0, -1),
+        S(Fraction(1, 2), Fraction(-1, 2), 0, Fraction(3, 2), Fraction(1, 2), 0,
+          Fraction(1, 3), -1, Fraction(-1, 2), Fraction(3, 2), 0, 5),
+    ], ids=["unit_terms", "non_unit_terms", "mixed_terms", "lead_minus_one", "fraction_lead"])
+    def test_each_kind_of_term(self, f):
+        inv = f.inverse()
+        assert f * inv == 1
+        assert inv.coefficients == tuple(invert(f.coefficients))
 
     def test_partition_inverse_is_pentagonal(self, oracle):
         assert partition_series(600).inverse().coefficients == tuple(oracle.pentagonal(600))
@@ -407,8 +436,8 @@ def inverse_inputs(draw):
     each multiple of isqrt(order + 1), so they are spread over the whole range.
     Sparse supports reach order 300; dense ones stop at 100, where a non-unit lead
     already gives coefficients of a hundred digits.  A sparse support sometimes
-    shares one value other than 0 and +-1, an int or a Fraction, so that one value
-    group holds several terms, summed together before they are scaled.
+    shares one value other than 0 and +-1, an int or a Fraction, so that several
+    terms of the inverter's dot product share one value.
     """
     dense = draw(st.booleans())
     order = draw(st.one_of(st.integers(0, 3), st.integers(4, 100 if dense else 300)))
