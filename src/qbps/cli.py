@@ -28,9 +28,10 @@ _SERIES_BUILDERS = {
     "brace": brace_series,
 }
 
+# An order of sys.maxsize or more cannot size a list: refused as a usage error.
 _terms_option = click.option(
-    "--terms", type=click.IntRange(min=0), default=DEFAULT_TERMS, show_default=True,
-    help="Truncation order: coefficients of q^0 through q^terms.")
+    "--terms", type=click.IntRange(min=0, max=sys.maxsize - 1), default=DEFAULT_TERMS,
+    show_default=True, help="Truncation order: coefficients of q^0 through q^terms.")
 
 
 @click.group()

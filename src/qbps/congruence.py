@@ -13,9 +13,9 @@ row's modulus, 5 or 2, only at the end; none of the six makes an exact product.
 The brace rows (mod10 and the left sides of mod5_reduction and mod2_reduction)
 read brace_series(order, 10), built once per order from the sieve G reduced
 mod 10.  The right sides and the support rows read P^alpha mod 10 from
-p_alpha(alpha, order, 10), built in Z/10 from Euler's pentagonal P^-1 reduced
-mod 10, its one residue inverse for P, and powers of those two.  No
-residue row builds exact P, and none builds P mod 5 from Frobenius,
+p_alpha(alpha, order, 10), built in Z/10 from Euler's pentagonal P^-1 written
+straight into Z/10, its one residue inverse for P, and powers of those two.  No
+residue row builds any exact series, and none builds P mod 5 from Frobenius,
 (P mod 5)^5 = P(q^5), the support lemma's own proof mechanism.  parity_factor
 alone keeps exact P, since it pins the exact value k(k+1)p(k).
 
@@ -77,11 +77,11 @@ __all__ = [
     "DEFAULT_COMPOSITE_ORDER", "DEFAULT_SUPPORT_ORDER",
 ]
 
-# Recommended sweep depths for a bare run_all(), which then takes 0.16-0.23 s on 2
-# vCPUs (median 0.18 s over 7 fresh processes), 0.09 s of it in exact products
-# (P^12, N1, the brace, B) and 0.09-0.10 s in b_direct_series, its product N1
-# included.  The support lemma at order 10^4 reads P^2 mod 10 reduced to 5,
-# about 0.015 s; it needs no exact P.
+# Recommended sweep depths for a bare run_all(), which then takes 0.15-0.23 s on 2
+# shared vCPUs (median 0.16 s over 7 fresh processes), 0.06-0.08 s of it in exact
+# products (P^12, N1, the brace, B) and 0.06-0.08 s in b_direct_series, its product
+# N1 included.  The support lemma at order 10^4 reads P^2 mod 10 reduced to 5,
+# 0.016-0.024 s; it builds no exact series.
 # Callers (and the CLI) can pass anything.
 DEFAULT_COMPOSITE_ORDER = 1000
 DEFAULT_SUPPORT_ORDER = 10000

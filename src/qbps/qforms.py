@@ -2,25 +2,11 @@
 
 Conventions: the partition series P carries constant term p(0) = 1, forced by
 the product form prod_{m>=1} (1-q^m)^{-1}; the divisor-sum series G carries
-constant term 0 since sigma(0) is undefined.  P^-1 = prod (1-q^m) is written
-down by Euler's pentagonal number theorem.  P is its inverse(), and P^3 is the
-inverse() of (P^-1)^3, the cube of Euler's series through the product kernel.
-Both series inverted are lacunary: P^-1 has O(sqrt N) nonzero coefficients, all
-+-1, by Euler's theorem, and (P^-1)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2) has
-O(sqrt N) by Jacobi's identity.  So exact forward substitution builds P and P^3
-in O(N^1.5) each, and P mod m comes from Newton's iteration through the residue
-product (the series module says why the two domains invert differently).
-Jacobi's identity only accounts for the cost: P^-3 is built from Euler's
-series, never from Jacobi's formula.  G comes from an independent divisor sieve,
-never from P: smallest prime factors, then sigma by multiplicativity.  G mod m
-is reduced straight from the sieve's table, so a residue sweep holds no exact G.
-
-The congruence checks need P^alpha only mod m, and one recipe, power(alpha,
-modulus), serves both domains: Euler's P^-1, reduced mod m for a modulus; P and
-P^3, the inverse() of P^-1 and of (P^-1)^3 in that domain; a positive multiple
-of 3 as a power of P^3, so P^12 = (P^3)^4 takes two squares; any other positive
-power as a power of P, and a negative one as a power of P^-1.  No exact P is
-built for a residue power, nor for P^12.
+constant term 0 since sigma(0) is undefined.  Every power of P, exact or mod m,
+comes from Euler's pentagonal P^-1 by one recipe, QFormCatalog.power, whose
+docstring states it.  G comes from an independent divisor sieve, never from P:
+smallest prime factors, then sigma by multiplicativity.  G mod m is reduced
+straight from the sieve's table, so a residue sweep holds no exact G.
 """
 
 from __future__ import annotations
@@ -84,10 +70,6 @@ class QFormCatalog:
         self._order = order
         self._series: dict = {}
 
-    @property
-    def order(self) -> int:
-        return self._order
-
     def derived(self, key, build):
         """build(), called at most once per catalog; later calls with key return its result."""
         if key not in self._series:
@@ -107,40 +89,50 @@ class QFormCatalog:
     def power(self, alpha: int, modulus: int | None = None) -> TruncatedSeries | ResidueSeries:
         """P^alpha at the catalog order, exact or mod m, cached per (exponent, modulus).
 
-        P^-1 is Euler's pentagonal series, reduced mod m for a modulus.  P and P^3
-        are the inverse() of P^-1 and of (P^-1)^3 in the same domain; both invert
-        in O(N^1.5), as Euler's pentagonal theorem and Jacobi's identity make the two
-        lacunary, and (P^-1)^3 is Euler's series cubed, never Jacobi's formula.  A
-        positive multiple of 3 is a power of P^3, any other positive power a power of
-        P, and a negative one a power of P^-1, so no exact P is built for a residue
-        power or for P^12 = (P^3)^4.  P mod m is never built from Frobenius,
+        One recipe serves both domains.  It starts from Euler's pentagonal P^-1,
+        written straight into the domain asked for, so a residue power builds no
+        exact series:
+
+        * P is the inverse() of P^-1;
+        * a positive multiple 3k of 3 is ((P^-1)^3).inverse() ** k: P^3 is the
+          inverse of Euler's series cubed, never of Jacobi's formula, and
+          P^12 = (P^3)^4 takes two squares and no P.  P^-3 and P^3 are locals
+          of that build, never catalog entries;
+        * any other positive power is a power of P, and a negative one a power
+          of P^-1.
+
+        Both series inverted are lacunary: P^-1 has O(sqrt N) nonzero
+        coefficients, all +-1, by Euler's theorem, and (P^-1)^3 =
+        sum_k (-1)^k (2k+1) q^(k(k+1)/2) has O(sqrt N) by Jacobi's identity, so
+        exact forward substitution inverts each in O(N^1.5), and a residue
+        series inverts by Newton's iteration (the series module says why the two
+        domains invert differently).  P mod m is never built from Frobenius,
         (P mod 5)^5 = P(q^5), which is how the support lemma is proved.
-        An exponent or a modulus that is not a plain int, or a modulus below 2, raises
-        before the cache is read: 2.0 == 2 and True == 1 would otherwise find P^2 and P.
+        An exponent or a modulus that is not a plain int, or a modulus that does
+        not divide 10, raises before the cache is read: 2.0 == 2 and True == 1
+        would otherwise find P^2 and P.
         """
         if type(alpha) is not int:
             raise TypeError(f"exponent must be an int, got {type(alpha).__name__}")
         if modulus is not None:
             _checked_modulus(modulus)
-        if alpha == -1 and modulus is None:
-            build = self._pentagonal
-        elif alpha == -1:
-            build = lambda: self.power(-1).reduce_mod(modulus)
-        elif alpha in (1, 3):
-            build = lambda: self.power(-alpha, modulus).inverse()
+        if alpha == -1:
+            build = lambda: self._pentagonal(modulus)
+        elif alpha == 1:
+            build = lambda: self.power(-1, modulus).inverse()
         elif alpha > 0 and alpha % 3 == 0:
-            build = lambda: self.power(3, modulus) ** (alpha // 3)
+            build = lambda: (self.power(-1, modulus) ** 3).inverse() ** (alpha // 3)
         else:
             build = lambda: self.power(1 if alpha > 0 else -1, modulus) ** abs(alpha)
         return self.derived((alpha, modulus), build)
 
-    def _pentagonal(self) -> TruncatedSeries:
+    def _pentagonal(self, modulus: int | None) -> TruncatedSeries | ResidueSeries:
         # prod (1-q^m) = sum_{j in Z} (-1)^j q^{j(3j-1)/2}.
         coeffs = [0] * (self._order + 1)
         for j in range(-isqrt(self._order), isqrt(self._order) + 1):
             if (g := j * (3 * j - 1) // 2) <= self._order:
                 coeffs[g] = -1 if j % 2 else 1
-        return TruncatedSeries(coeffs)
+        return TruncatedSeries(coeffs) if modulus is None else ResidueSeries(coeffs, modulus)
 
 
 @lru_cache(maxsize=None, typed=True)      # typed: True never aliases order 1
@@ -155,7 +147,7 @@ def partition_series(order: int) -> TruncatedSeries:
 
 
 def p_alpha(alpha: int, order: int, modulus: int | None = None) -> TruncatedSeries | ResidueSeries:
-    """P^alpha for any integer alpha, exact, or mod m built in Z/m without an exact P."""
+    """P^alpha for any integer alpha, exact, or mod m built in Z/m with no exact series."""
     return catalog_for(order).power(alpha, modulus)
 
 

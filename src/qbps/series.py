@@ -335,11 +335,11 @@ class TruncatedSeries(_Series):
 
     @staticmethod
     def _scaled(a, scalar):
-        if isinstance(scalar, int) or not {int}.issuperset(map(type, a)):
+        if isinstance(scalar, int):
             return map(mul, a, repeat(scalar))
-        # Ints c times a Fraction n/d: one divmod of n c by d, and a Fraction only
-        # where the remainder is nonzero, so each result has the value and the type
-        # of c * (n/d), an int wherever it is integral.
+        # c times a Fraction n/d: one divmod of n c by d, and a Fraction only where
+        # the remainder is nonzero, so each result has the value and the type of
+        # c * (n/d), an int wherever it is integral.
         n, d = scalar.numerator, scalar.denominator
         return [q if not r else Fraction(q * d + r, d)
                 for q, r in map(divmod, a if n == 1 else map(mul, a, repeat(n)), repeat(d))]

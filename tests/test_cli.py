@@ -64,6 +64,16 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--terms", "-3"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("terms", [str(sys.maxsize), str(10 ** 20)])
+    @pytest.mark.parametrize("command", [["verify"], ["table", "--kind", "bps"],
+                                         ["series", "--name", "G"]])
+    def test_oversized_terms_is_usage_error(self, runner, command, terms):
+        # No list can hold sys.maxsize + 1 coefficients; the option refuses the
+        # order before any series is sized from it.
+        result = runner.invoke(main, [*command, "--terms", terms])
+        assert result.exit_code == 2, result.output
+        assert "--terms" in result.output
+
     def test_failing_check_exits_one_and_reports_index(self, runner, monkeypatch):
         failing = CongruenceCheck("mod10", 10, 50, passed=False, first_failure=(3, 7))
         monkeypatch.setattr("qbps.cli.run_all", lambda **kwargs: [failing])

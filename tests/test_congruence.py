@@ -454,6 +454,18 @@ class TestRunAll:
         assert all(r.passed for r in run_all(order=300, names=rows))
         assert inverses == [10]
 
+    def test_residue_rows_build_no_exact_series(self, monkeypatch):
+        # Euler's P^-1 is written straight into Z/10 and G mod 10 is reduced from
+        # the sieve's table, so no exact series of any kind is built.
+        def refused(self, coeffs):
+            raise AssertionError("exact series built")
+
+        catalog_for.cache_clear()
+        monkeypatch.setattr(TruncatedSeries, "__init__", refused)
+        rows = ["mod10", "mod5_reduction", "support_lemma", "support_consequence",
+                "mod2_reduction"]
+        assert all(r.passed for r in run_all(order=300, names=rows))
+
     def test_reduction_rows_read_one_p2_operator(self, monkeypatch):
         # mod5_reduction and support_consequence share (D^2 - D) P_2 mod 10, so
         # q d/dq is applied to P_2 mod 10 once, not once per row.

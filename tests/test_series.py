@@ -108,7 +108,7 @@ class TestMul:
     @pytest.mark.parametrize("scalar", [Fraction(3, 10), Fraction(-1, 2)])
     def test_fraction_scaling_matches_the_fraction_products(self, scalar):
         # Some coefficients are divisible by 10 or 2 and some are not; the second
-        # series already holds a Fraction, so it is scaled by Fraction products.
+        # series already holds a Fraction, which takes the same divmod path.
         ints = [0, 1, -1, 2, -2, 5, 10, -10, 7, 30, -33, 10 ** 40 + 5, -(10 ** 40)]
         for coeffs in (ints, ints[:4] + [Fraction(5, 3)] + ints[4:]):
             want = [c.numerator if c.denominator == 1 else c
