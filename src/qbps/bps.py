@@ -3,21 +3,15 @@
 Two routes to the same numbers, kept deliberately separate so their agreement
 is a real check and not a tautology:
 
-  * the direct route: the general formulas evaluated for each class beta_n,
-    with c, g and chi read from NINE_POINT_BLOWUP (a_direct_series,
-    b_direct_series).  The splitting sum keeps one term per pair
-    beta_n = lF + beta_k, but by bilinearity of the intersection form each term
-    is a fiber factor in l times a section factor in k; b_direct_series reads a
-    fiber row (one per class degree) and a section row once per order and takes
-    one integer dot product per class.  a_general and b_general over
-    decompositions_for's explicit per-pair tuples remain the reference,
-  * closed forms in the partition and divisor-sum series
-    (a_closed_series = -P12*G and b_closed_series = (1/10)P12*(7G^2 - G + DG)),
+  * the direct route, the general formulas evaluated for each class beta_n
+    (a_direct_series, b_direct_series), with a_general and b_general over
+    decompositions_for's explicit per-pair tuples as the reference;
+  * the closed forms in the partition and divisor-sum series (a_closed_series,
+    b_closed_series, and the brace 7G^2 - G + DG of brace_series);
 
-plus a third, intermediate rewrite of b that pins the index-shift step of the
-derivation connecting the general formula to the closed form.  The brace
-7G^2 - G + DG is built once per order and modulus (brace_series): exactly for
-B, and in Z/10 for the congruence checks, which reduce it to 5 and 2 at the end.
+plus a third, intermediate rewrite of b (b_intermediate_series) that pins the
+index-shift step of the derivation connecting the general formula to the
+closed form.  Each function's docstring gives its formula.
 
 The integrality of every coefficient is the conjectural content; the
 a_integrality and b_integrality checks of congruence test it, never assume it.
@@ -47,9 +41,6 @@ class ClassData(namedtuple("ClassData", "c g n0 n1")):
 
     a(beta) reads n0 only, so a_direct_series leaves n1 as None.  Every
     construction path checks c > 0, _make, _replace and unpickling included.
-    An immutable named tuple, not a dataclass, so that importing qbps stays
-    free of dataclasses and inspect: fields read by name, the record unpacks,
-    and it equals a tuple of the same fields.
     """
 
     __slots__ = ()
@@ -121,10 +112,7 @@ def decompositions_for(n: int, n0: TruncatedSeries) -> list[tuple]:
 
 
 def _class_data(n: int, n0: TruncatedSeries, n1: TruncatedSeries | None = None) -> ClassData:
-    """The inputs of beta_n: c and g from NINE_POINT_BLOWUP, the counts from n0, n1.
-
-    Without an n1 series the genus-1 count is left as None.
-    """
+    """The inputs of beta_n: c and g from NINE_POINT_BLOWUP, the counts from n0, n1."""
     surface = NINE_POINT_BLOWUP
     beta = surface.beta(n)
     return ClassData(c=surface.degree(beta), g=surface.genus(beta), n0=n0.coefficient(n),

@@ -8,16 +8,12 @@ it is P_{-1} (D^2 + D) P, whose k-th coefficient k(k+1)p(k) is even.  The exact
 rows replay what the proof leans on: route equalities for a and b, their
 integrality, and the logarithmic-derivative identities behind the closed forms.
 
-The residue rows compute in one ring, Z/10 = Z/2 x Z/5, and reduce to the
-row's modulus, 5 or 2, only at the end; none of the six makes an exact product.
-The brace rows (mod10 and the left sides of mod5_reduction and mod2_reduction)
-read brace_series(order, 10), built once per order from the sieve G reduced
-mod 10.  The right sides and the support rows read P^alpha mod 10 from
-p_alpha(alpha, order, 10), built in Z/10 from Euler's pentagonal P^-1 written
-straight into Z/10, its one residue inverse for P, and powers of those two.  No
-residue row builds any exact series, and none builds P mod 5 from Frobenius,
-(P mod 5)^5 = P(q^5), the support lemma's own proof mechanism.  parity_factor
-alone keeps exact P, since it pins the exact value k(k+1)p(k).
+The five residue rows compute in Z/10 = Z/2 x Z/5 and reduce to the row's
+modulus, 5 or 2, only at the end.  They read brace_series(order, 10) and
+p_alpha(alpha, order, 10), which build no exact series; QFormCatalog.power gives
+the recipe, and says why P mod 5 is never built from Frobenius.  None of the six
+congruence rows makes an exact product, and parity_factor alone keeps exact P,
+since it pins the exact value k(k+1)p(k).
 
 All 13 checks are rows of one table, name -> (modulus, build), in this order:
 
@@ -48,15 +44,8 @@ Some rows catch less than they state:
     D(P^12) = -12 a_direct: the row scans exactly -12 times the series a_routes
     scans, and passes exactly when a_routes does.
 
-build(order) returns the series to scan and its failure rule.  A rule maps the
-coefficients to one flag per coefficient, true where that coefficient fails,
-and builds the flag stream in C from map and itertools.  One scanner,
-check(name, order), reports the first flagged index k and coefficient k, and so
-turns any row into its CongruenceCheck; run_all runs a selection.  A row with a
-modulus is a congruence check and accepts an optional single-coefficient
-perturbation, so tests can confirm that failure reporting points at exactly the
-damaged index.  run_all validates every perturbation, its type and its index
-against its row's order, before it builds a row.
+Each row's build(order) returns the series to scan and its failure rule;
+check scans one row and run_all runs a selection.
 """
 
 from __future__ import annotations
@@ -77,12 +66,9 @@ __all__ = [
     "DEFAULT_COMPOSITE_ORDER", "DEFAULT_SUPPORT_ORDER",
 ]
 
-# Recommended sweep depths for a bare run_all(), which then takes 0.15-0.23 s on 2
-# shared vCPUs (median 0.16 s over 7 fresh processes), 0.06-0.08 s of it in exact
-# products (P^12, N1, the brace, B) and 0.06-0.08 s in b_direct_series, its product
-# N1 included.  The support lemma at order 10^4 reads P^2 mod 10 reduced to 5,
-# 0.016-0.024 s; it builds no exact series.
-# Callers (and the CLI) can pass anything.
+# Recommended sweep depths for a bare run_all().  The support lemma reads only
+# P^2 mod 10 and builds no exact series, so it can sweep deeper than the rows
+# that make exact products.  Callers (and the CLI) can pass anything.
 DEFAULT_COMPOSITE_ORDER = 1000
 DEFAULT_SUPPORT_ORDER = 10000
 
@@ -98,12 +84,6 @@ class CongruenceCheck(namedtuple(
     checks, the offending exact coefficient for identity checks; it defaults to
     None, and passed must mirror its absence.  Every construction path checks
     that, _make, _replace and unpickling included.
-
-    An immutable named tuple, not a dataclass, so that importing qbps loads no
-    dataclasses or inspect (about 1 MiB of peak RSS per process).  Fields read
-    by name, the record unpacks, and it equals a tuple of the same fields.  A
-    field that must stay out of equality, such as a check's elapsed time, goes
-    last and __eq__ and __hash__ compare self[:5].
     """
 
     __slots__ = ()
@@ -119,7 +99,7 @@ class CongruenceCheck(namedtuple(
 
 
 # Failure rules: the scanned coefficients -> one flag per coefficient, true
-# where that coefficient fails.
+# where that coefficient fails, built from map and itertools so it runs in C.
 def _nonzero(cs):
     return cs
 
@@ -160,9 +140,8 @@ def _mod2_reduction(order: int):
 
 
 def _parity_factor(order: int):
-    # (D^2 + D) P as D(DP + P), so at most three exact series are alive at once.
-    # Checked over the integers: coefficient k must be exactly k(k+1)p(k),
-    # built lazily so no second series of that length is held.
+    # (D^2 + D) P as D(DP + P), so at most three exact series are alive at once;
+    # the expected k(k+1)p(k) is built lazily, so no fourth is held.
     p = partition_series(order)
     return qd(qd(p) + p), lambda cs: map(
         ne, cs, map(mul, map(mul, count(), count(1)), p.coefficients))
@@ -173,14 +152,14 @@ def _g_identity(order: int):
 
 
 def _p12_identity(order: int):
-    # D(P^12) - 12 P^12 G, with the product P^12 G read from A = -P^12 G.
-    # P^12 itself is (P^3)^4, with P^3 the inverse of Euler's series cubed, never
-    # built from this recurrence, and a_routes checks A against the direct route.
+    # D(P^12) - 12 P^12 G, with the product P^12 G read from A = -P^12 G.  P^12 is
+    # never built from this recurrence (QFormCatalog.power builds it), and
+    # a_routes checks A against the direct route.
     return qd(p_alpha(12, order)) + 12 * a_closed_series(order), _nonzero
 
 
-# name -> (modulus, build), run in this order.  modulus None marks an exact
-# identity; the other rows are the congruence checks.
+# The module docstring's table, run in this order.  A row with a modulus is a
+# congruence check.
 _CHECKS = {
     "mod10": (10, lambda order: (brace_series(order, 10), _nonzero)),
     "mod5_reduction": (5, _mod5_reduction),
@@ -215,9 +194,9 @@ def _selected_names(names) -> set[str]:
     return selected
 
 
-def _perturbable(perturbations: dict, order: int, support_order: int) -> None:
+def _perturbable(perturbations: dict, depths: dict) -> None:
     """Refuse a perturbation of anything but a congruence check, not a pair of ints,
-    or at an index outside its row's order: support_order for support_lemma, else order."""
+    or at an index outside 0..depths[name], its row's order."""
     refused = sorted(map(str, set(perturbations) - {n for n, (m, _) in _CHECKS.items() if m}))
     if refused:
         raise ValueError(
@@ -228,7 +207,7 @@ def _perturbable(perturbations: dict, order: int, support_order: int) -> None:
             raise TypeError(f"perturbation of {name} must be a pair of ints (index, delta), "
                             f"got {perturbation!r}")
         # An order that is not an int is left to its catalog, which names the type.
-        index, depth = perturbation[0], support_order if name == "support_lemma" else order
+        index, depth = perturbation[0], depths[name]
         if type(depth) is int and not 0 <= index <= depth:
             raise IndexError(f"coefficient index {index} outside stored range 0..{depth}")
 
@@ -236,20 +215,22 @@ def _perturbable(perturbations: dict, order: int, support_order: int) -> None:
 def check(name: str, order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
     """Run one check by name: build its series, perturb it, scan it to order.
 
-    An unknown name, or a perturbation of an exact check, raises ValueError; a
-    perturbation that is not a pair of ints raises TypeError, and one whose index
-    lies outside 0..order raises IndexError.
+    The scan reports the first index the row's failure rule flags, with that
+    coefficient; a perturbation lets tests confirm that a failure is reported at
+    exactly the damaged index.  An unknown name, or a perturbation of an exact
+    check, raises ValueError; a perturbation that is not a pair of ints raises
+    TypeError, and one whose index lies outside 0..order raises IndexError.
+    Mixed-order arithmetic truncates silently, so a scan that falls short of
+    order raises RuntimeError instead of passing.
     """
     _selected_names([name])
     if perturbation is not None:
-        _perturbable({name: perturbation}, order, order)
+        _perturbable({name: perturbation}, {name: order})
     modulus, build = _CHECKS[name]
     series, rule = build(order)
     if perturbation is not None:
         index, delta = perturbation
         series = series.with_coefficient(index, series[index] + delta)
-    # Mixed-order arithmetic truncates silently, so a short series would still
-    # pass; refuse any scan that does not reach the requested depth.
     if series.order != order:
         raise RuntimeError(f"check {name} swept order {series.order}, not the requested {order}")
     coeffs = series.coefficients
@@ -259,14 +240,13 @@ def check(name: str, order: int, perturbation: Perturbation | None = None) -> Co
 
 def run_all(order: int | None = None, support_order: int | None = None,
             names=None, perturbations=None) -> list[CongruenceCheck]:
-    """Run the selected checks (all by default) in a fixed deterministic order.
+    """Run the selected checks (all by default) through check, in a fixed order.
 
     With no explicit order, congruence sweeps run at DEFAULT_COMPOSITE_ORDER
     and the support lemma at DEFAULT_SUPPORT_ORDER; with an explicit order,
     everything runs there unless support_order overrides the lemma's depth.
-    perturbations maps a congruence check's name to a (index, delta) injection,
-    for failure-reporting tests.  A check whose scanned series falls short of
-    its requested depth raises instead of passing.
+    perturbations maps a congruence check's name to its (index, delta) pair; all
+    of them are validated before any row is built.
     """
     if order is None:
         order = DEFAULT_COMPOSITE_ORDER
@@ -274,9 +254,13 @@ def run_all(order: int | None = None, support_order: int | None = None,
             support_order = DEFAULT_SUPPORT_ORDER
     if support_order is None:
         support_order = order
+    depths = {name: support_order if name == "support_lemma" else order for name in CHECK_NAMES}
     selected = _selected_names(names)
-    perturbations = dict(perturbations or {})
-    _perturbable(perturbations, order, support_order)
-    return [check(name, support_order if name == "support_lemma" else order,
-                  perturbations.get(name))
+    try:
+        perturbations = dict(perturbations or {})
+    except (TypeError, ValueError):
+        raise TypeError("perturbations must map check names to (index, delta) pairs, "
+                        f"got {perturbations!r}") from None
+    _perturbable(perturbations, depths)
+    return [check(name, depths[name], perturbations.get(name))
             for name in CHECK_NAMES if name in selected]

@@ -2,9 +2,8 @@
 
 The surface is rational elliptic: S is the section class, F the anticanonical
 fiber class, and the classes of interest are beta_n = S + nF.  The counts
-themselves are taken as known input (genus 0 per class: the twelfth power of
-the partition series; genus 1: that series times DG; multiple fibers:
-sigma(l)/l) rather than derived from geometry.
+themselves (n0_series, n1_series, n1_fiber) are taken as known input rather
+than derived from geometry.
 """
 
 from __future__ import annotations
@@ -31,10 +30,7 @@ class SurfaceContext(namedtuple(
 
     The canonical class is -F, so the degree pairing c(beta) = -beta.K counts
     intersections with the fiber.  The defaults are the nine-point blow-up's:
-    chi = 12, S.S = -1, F.F = 0, S.F = 1.  An immutable named tuple, not a
-    dataclass, so that importing qbps stays free of dataclasses and inspect:
-    fields read by name, the record unpacks, and it equals a tuple of the same
-    fields.
+    chi = 12, S.S = -1, F.F = 0, S.F = 1.
     """
 
     __slots__ = ()
@@ -77,10 +73,7 @@ NINE_POINT_BLOWUP = SurfaceContext()
 class GWTable(namedtuple("GWTable", "n0 n1 order")):
     """Coefficient n of n0 counts genus-0 curves in beta_n; n1 counts genus-1.
 
-    n0 and n1 are TruncatedSeries to the int order.  An immutable named tuple,
-    not a dataclass, so that importing qbps stays free of dataclasses and
-    inspect: fields read by name, the record unpacks, and it equals a tuple of
-    the same fields.
+    n0 and n1 are TruncatedSeries to the int order.
     """
 
     __slots__ = ()
@@ -92,10 +85,7 @@ def n0_series(order: int) -> TruncatedSeries:
 
 
 def n1_series(order: int) -> TruncatedSeries:
-    """Genus-1 counts: P^12 times DG, built once per order.  Coefficient 0 vanishes.
-
-    b_direct_series and b_intermediate_series both read this one product.
-    """
+    """Genus-1 counts: P^12 times DG, built once per order.  Coefficient 0 vanishes."""
     return catalog_for(order).derived("n1", lambda: p_alpha(12, order) * qd(g_series(order)))
 
 

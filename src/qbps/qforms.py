@@ -20,7 +20,10 @@ __all__ = ["sigma", "partition_series", "p_alpha", "g_series", "QFormCatalog", "
 
 
 def sigma(k: int) -> int:
-    """Sum of the positive divisors of k, by trial division up to sqrt(k)."""
+    """Sum of the positive divisors of a plain int k >= 1, by trial division up
+    to sqrt(k), independent of the sieve behind G."""
+    if type(k) is not int:
+        raise TypeError(f"divisor sum requires an int, got {type(k).__name__}")
     if k < 1:
         raise ValueError("divisor sum requires a positive argument")
     total = 0
@@ -56,10 +59,10 @@ class QFormCatalog:
     mod m, and the series composed from them.
 
     All series share the catalog's truncation order, so formulas composed from
-    catalog members never silently truncate shorter than expected.  Each member
-    is built once, by derived(): bps keeps A, B and the brace here, and gw keeps
-    N1 = P^12 DG, so every check at one order reads one object.  A shared series
-    is one input; each check still compares two sources built different ways.
+    catalog members never silently truncate shorter than expected.  Each member,
+    and each series another module composes from members, is built once, by
+    derived(), so every check at one order reads one object.  A shared series is
+    one input; each check still compares two sources built different ways.
     """
 
     def __init__(self, order: int):
@@ -157,4 +160,5 @@ def g_series(order: int, modulus: int | None = None) -> TruncatedSeries | Residu
     catalog = catalog_for(order)        # validates the order
     if modulus is None:
         return catalog.divisor_sum
+    _checked_modulus(modulus)           # before the sieve, the costly part
     return ResidueSeries(_sigma_table(order), modulus)

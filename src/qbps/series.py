@@ -28,12 +28,10 @@ The catalog inverts two lacunary series: Euler's P^-1, whose terms are all +-1,
 and (P^-1)^3, whose terms +-(2k+1) are all distinct, so that grouping them by
 value would still cost a sum and a multiply per term.
 Newton's iteration over exact coefficients measured four to five times slower
-on Euler's P^-1 (0.56 s against 0.11 s at order 10^4, 4.1-4.6 s against
-0.79-0.99 s at 5 10^4; CPython 3.11, 2 vCPUs), so exact series keep the
-substitution.  Residue series use Newton's iteration, g <- g - g (f g - 1),
-which doubles the known prefix with two products through the kernel: O(N log N)
-work for N coefficients, where substitution over Euler's sqrt(N) terms is
-O(N^1.5).
+on Euler's P^-1, so exact series keep the substitution.  Residue series use
+Newton's iteration, g <- g - g (f g - 1), which doubles the known prefix with
+two products through the kernel: O(N log N) work for N coefficients, where
+substitution over Euler's sqrt(N) terms is O(N^1.5).
 A negative power inverts, then raises, in either domain.
 
 Arithmetic between series of different truncation orders truncates to the

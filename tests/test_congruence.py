@@ -277,6 +277,17 @@ class TestFailureReporting:
         with pytest.raises(TypeError, match="perturbation of parity_factor must be a pair"):
             run_all(order=5, names=["g_identity"], perturbations={"parity_factor": (3,)})
 
+    @pytest.mark.parametrize("perturbations", [5, "ab", [("mod10", 1, 1)]],
+                             ids=["int", "str", "triples"])
+    def test_perturbations_that_are_not_a_mapping_are_named(self, perturbations):
+        with pytest.raises(TypeError, match=r"perturbations must map check names to "
+                                            r"\(index, delta\) pairs, got "):
+            run_all(order=20, perturbations=perturbations)
+
+    def test_perturbations_as_a_list_of_pairs(self):
+        (result,) = run_all(order=20, names=["mod10"], perturbations=[("mod10", (7, 3))])
+        assert result.first_failure == (7, 3)
+
     def test_perturbation_past_its_rows_order_rejected_before_any_row_is_built(self,
                                                                                monkeypatch):
         def unbuilt(*args):

@@ -6,6 +6,7 @@ from functools import reduce
 
 import pytest
 
+from qbps.bps import brace_series
 from qbps.series import TruncatedSeries, qd
 from qbps.qforms import (
     sigma, partition_series, p_alpha, g_series, QFormCatalog, catalog_for,
@@ -30,6 +31,13 @@ class TestSigma:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             sigma(0)
+
+    @pytest.mark.parametrize("k", [6.0, 6.5, "6", True],
+                             ids=["float", "non_integral_float", "str", "bool"])
+    def test_non_int_rejected(self, k):
+        # A float would otherwise divide silently to a wrong sum: 6.5 to 0.
+        with pytest.raises(TypeError, match=f"requires an int, got {type(k).__name__}"):
+            sigma(k)
 
     def test_matches_divisor_enumeration(self, oracle):
         for k in range(1, 300):
@@ -128,6 +136,22 @@ class TestGSeries:
         catalog_for.cache_clear()
         monkeypatch.setattr(QFormCatalog, "divisor_sum", property(refused))
         assert tuple(g_series(6, 10).coefficients) == (0, 1, 3, 4, 7, 6, 2)
+
+
+@pytest.mark.parametrize("modulus, error", [(3, ValueError), (10.0, TypeError),
+                                            ("10", TypeError)], ids=["3", "float", "str"])
+@pytest.mark.parametrize("build", [lambda m: p_alpha(2, 30, m), lambda m: g_series(30, m),
+                                   lambda m: brace_series(30, m)],
+                         ids=["p_alpha", "g_series", "brace_series"])
+def test_bad_modulus_refused_before_any_build(monkeypatch, build, modulus, error):
+    def unbuilt(*args):
+        raise AssertionError("a series was built before the modulus was checked")
+
+    catalog_for.cache_clear()
+    monkeypatch.setattr("qbps.qforms._sigma_table", unbuilt)
+    monkeypatch.setattr(QFormCatalog, "_pentagonal", unbuilt)
+    with pytest.raises(error, match="modulus must be"):
+        build(modulus)
 
 
 class TestIdentities:
