@@ -63,16 +63,14 @@ def verify(terms, checks_csv):
             raise click.UsageError(str(error)) from None
     results = run_all(order=terms, names=names)
     width = max(len(r.name) for r in results)
-    any_failed = False
     for r in results:
         domain = "exact" if r.modulus is None else f"mod {r.modulus}"
         line = f"{r.name:<{width}}  {domain:<7}  {'pass' if r.passed else 'fail'}"
         if not r.passed:
-            any_failed = True
             index, value = r.first_failure
             line += f"  first failure at q^{index}: {value}"
         click.echo(line)
-    if any_failed:
+    if not all(r.passed for r in results):
         sys.exit(1)
 
 

@@ -55,7 +55,7 @@ from itertools import compress, count, cycle, repeat
 from operator import attrgetter, mul, ne
 
 from .series import qd
-from .qforms import catalog_for, g_series, p_alpha, partition_series
+from .qforms import g_series, p_alpha, partition_series
 from .bps import (
     a_closed_series, a_direct_series, b_closed_series, b_direct_series,
     b_intermediate_series, brace_series,
@@ -77,25 +77,19 @@ Perturbation = tuple[int, int]
 
 
 class CongruenceCheck(namedtuple(
-        "CongruenceCheck", "name modulus order passed first_failure")):
+        "CongruenceCheck", "name modulus order first_failure", defaults=(None,))):
     """Outcome of one check.  modulus None marks an exact-arithmetic identity.
 
     first_failure is (index, offending value): the nonzero residue for modular
     checks, the offending exact coefficient for identity checks; it defaults to
-    None, and passed must mirror its absence.  Every construction path checks
-    that, _make, _replace and unpickling included.
+    None, and passed is derived from it, so no record can both pass and fail.
     """
 
     __slots__ = ()
 
-    def __new__(cls, name, modulus, order, passed, first_failure=None):
-        if passed != (first_failure is None):
-            raise ValueError("passed must mirror the absence of a first failure")
-        return tuple.__new__(cls, (name, modulus, order, passed, first_failure))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    @property
+    def passed(self) -> bool:
+        return self.first_failure is None
 
 
 # Failure rules: the scanned coefficients -> one flag per coefficient, true
@@ -114,17 +108,9 @@ def _fractional(cs):
 
 
 def _p2_operator(order: int):
-    """(D^2 - D) P_2 mod 10, which mod5_reduction and support_consequence both read.
-
-    Kept on the catalog of the order P_2 reaches, not the order asked for, so a
-    short P_2 never leaves a short operator under the requested order.
-    """
-    p2 = p_alpha(2, order, 10)
-
-    def build():
-        dp2 = qd(p2)
-        return qd(dp2) - dp2
-    return catalog_for(p2.order).derived("p2_operator", build)
+    """(D^2 - D) P_2 mod 10, which mod5_reduction and support_consequence both read."""
+    dp2 = qd(p_alpha(2, order, 10))
+    return qd(dp2) - dp2
 
 
 def _mod5_reduction(order: int):
@@ -184,9 +170,12 @@ def _selected_names(names) -> set[str]:
     """The checks to run: all for None, else a collection of known check names."""
     if names is None:
         return set(CHECK_NAMES)
-    if isinstance(names, str):
-        raise TypeError(f"check names must be a collection of names, not the string {names!r}")
-    selected = set(names)
+    try:
+        if isinstance(names, str):
+            raise TypeError
+        selected = set(names)
+    except TypeError:
+        raise TypeError(f"names must be a collection of check names, got {names!r}") from None
     unknown = sorted(map(str, selected.difference(CHECK_NAMES)))
     if unknown:
         raise ValueError(f"unknown check name(s): {', '.join(unknown)}; "
@@ -218,33 +207,33 @@ def check(name: str, order: int, perturbation: Perturbation | None = None) -> Co
     The scan reports the first index the row's failure rule flags, with that
     coefficient; a perturbation lets tests confirm that a failure is reported at
     exactly the damaged index.  An unknown name, or a perturbation of an exact
-    check, raises ValueError; a perturbation that is not a pair of ints raises
-    TypeError, and one whose index lies outside 0..order raises IndexError.
-    Mixed-order arithmetic truncates silently, so a scan that falls short of
-    order raises RuntimeError instead of passing.
+    check, raises ValueError; an unhashable name, or a perturbation that is not
+    a pair of ints, raises TypeError; a perturbation index outside 0..order
+    raises IndexError.  Mixed-order arithmetic truncates silently, so a series
+    built short of order raises RuntimeError, before it is perturbed.
     """
     _selected_names([name])
     if perturbation is not None:
         _perturbable({name: perturbation}, {name: order})
     modulus, build = _CHECKS[name]
     series, rule = build(order)
+    if series.order != order:
+        raise RuntimeError(f"check {name} swept order {series.order}, not the requested {order}")
     if perturbation is not None:
         index, delta = perturbation
         series = series.with_coefficient(index, series[index] + delta)
-    if series.order != order:
-        raise RuntimeError(f"check {name} swept order {series.order}, not the requested {order}")
     coeffs = series.coefficients
     k = next(compress(count(), rule(coeffs)), None)
-    return CongruenceCheck(name, modulus, order, k is None, None if k is None else (k, coeffs[k]))
+    return CongruenceCheck(name, modulus, order, None if k is None else (k, coeffs[k]))
 
 
 def run_all(order: int | None = None, support_order: int | None = None,
             names=None, perturbations=None) -> list[CongruenceCheck]:
     """Run the selected checks (all by default) through check, in a fixed order.
 
-    With no explicit order, congruence sweeps run at DEFAULT_COMPOSITE_ORDER
-    and the support lemma at DEFAULT_SUPPORT_ORDER; with an explicit order,
-    everything runs there unless support_order overrides the lemma's depth.
+    With no explicit order, every row but the support lemma runs at
+    DEFAULT_COMPOSITE_ORDER and the lemma at DEFAULT_SUPPORT_ORDER; with an
+    explicit order, every row runs there unless support_order sets the lemma's.
     perturbations maps a congruence check's name to its (index, delta) pair; all
     of them are validated before any row is built.
     """

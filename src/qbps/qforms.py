@@ -60,9 +60,10 @@ class QFormCatalog:
 
     All series share the catalog's truncation order, so formulas composed from
     catalog members never silently truncate shorter than expected.  Each member,
-    and each series another module composes from members, is built once, by
-    derived(), so every check at one order reads one object.  A shared series is
-    one input; each check still compares two sources built different ways.
+    and each composed series another module stores here, is built once per
+    catalog, by derived(), so every check at one order reads one object; a series
+    composed without derived() is rebuilt on each call.  A shared series is one
+    input; each check still compares two sources built different ways.
     """
 
     def __init__(self, order: int):
@@ -138,9 +139,15 @@ class QFormCatalog:
         return TruncatedSeries(coeffs) if modulus is None else ResidueSeries(coeffs, modulus)
 
 
-@lru_cache(maxsize=None, typed=True)      # typed: True never aliases order 1
+@lru_cache(maxsize=2, typed=True)      # typed: True never aliases order 1
 def catalog_for(order: int) -> QFormCatalog:
-    """Shared catalog per truncation order; repeated formula evaluation reuses it."""
+    """Shared catalog per truncation order; repeated formula evaluation reuses it.
+
+    Only the two most recently used orders are kept, because one run_all reads
+    exactly two depths, its order and the support lemma's.  An older order is
+    dropped with everything built on it and rebuilt on its next use, so a
+    process that sweeps many orders holds two catalogs, not one per order.
+    """
     return QFormCatalog(order)
 
 

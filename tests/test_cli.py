@@ -75,7 +75,7 @@ class TestVerify:
         assert "--terms" in result.output
 
     def test_failing_check_exits_one_and_reports_index(self, runner, monkeypatch):
-        failing = CongruenceCheck("mod10", 10, 50, passed=False, first_failure=(3, 7))
+        failing = CongruenceCheck("mod10", 10, 50, first_failure=(3, 7))
         monkeypatch.setattr("qbps.cli.run_all", lambda **kwargs: [failing])
         result = runner.invoke(main, ["verify", "--terms", "50"])
         assert result.exit_code == 1

@@ -42,6 +42,15 @@ class TestCheckByName:
         with pytest.raises(ValueError, match=r": 5\b"):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: run_all(order=5, names=5),
+        lambda: run_all(order=5, names=[["mod10"]]),
+        lambda: check(["mod10"], 5),
+    ], ids=["run_all-int", "run_all-nested-list", "check-list"])
+    def test_names_that_are_not_a_collection_of_names_are_named(self, call):
+        with pytest.raises(TypeError, match="names must be a collection of check names, got "):
+            call()
+
     @pytest.mark.parametrize("module", [qbps, series, qforms, gw, bps, congruence],
                              ids=lambda module: module.__name__)
     def test_every_exported_name_resolves(self, module):
@@ -70,37 +79,44 @@ class TestResultType:
         assert r.passed
         assert r.first_failure is None
 
-    def test_inconsistent_flags_rejected(self):
-        # Every construction path: positional, keyword, defaulted, _make, _replace.
-        builds = [
-            lambda: CongruenceCheck("x", 5, 10, True, (3, 1)),
-            lambda: CongruenceCheck("x", 5, 10, False),
-            lambda: CongruenceCheck("x", 5, 10, passed=True, first_failure=(3, 1)),
-            lambda: CongruenceCheck(name="x", modulus=5, order=10, passed=False),
-            lambda: CongruenceCheck._make(("x", 5, 10, True, (3, 1))),
-            lambda: CongruenceCheck("x", 5, 10, True)._replace(first_failure=(3, 1)),
-            lambda: CongruenceCheck("x", 5, 10, False, (3, 1))._replace(first_failure=None),
+    def test_passed_follows_first_failure_on_every_construction_path(self):
+        # Positional, keyword, defaulted, _make, _replace and unpickling.
+        failed, clean = CongruenceCheck("x", 5, 10, (3, 1)), CongruenceCheck("x", 5, 10)
+        records = [
+            failed, clean, CongruenceCheck("x", 5, 10, None),
+            CongruenceCheck(name="x", modulus=5, order=10, first_failure=(3, 1)),
+            CongruenceCheck(name="x", modulus=5, order=10),
+            CongruenceCheck._make(("x", 5, 10, (3, 1))), CongruenceCheck._make(("x", 5, 10, None)),
+            clean._replace(first_failure=(3, 1)), failed._replace(first_failure=None),
+            pickle.loads(pickle.dumps(failed)), pickle.loads(pickle.dumps(clean)),
         ]
-        for build in builds:
-            with pytest.raises(ValueError, match="passed must mirror"):
-                build()
+        assert [r.passed for r in records] == [r.first_failure is None for r in records]
+        assert [r.passed for r in records] == [False, True, True, False, True, False, True,
+                                               False, True, False, True]
+        # passed is no field, so no path can set it apart from first_failure.
+        with pytest.raises(TypeError):
+            CongruenceCheck("x", 5, 10, True, None)
+        with pytest.raises(TypeError):
+            CongruenceCheck("x", 5, 10, passed=True)
+        with pytest.raises(ValueError):
+            failed._replace(passed=True)
 
     def test_repr_matches_the_dataclass_form(self):
         assert repr(check("mod10", 20)) == (
-            "CongruenceCheck(name='mod10', modulus=10, order=20, passed=True, first_failure=None)")
+            "CongruenceCheck(name='mod10', modulus=10, order=20, first_failure=None)")
 
     def test_named_tuple_behaviour(self):
-        r = CongruenceCheck("x", 5, 10, False, (3, 1))
-        name, modulus, order, passed, first_failure = r
-        assert (name, modulus, order, passed, first_failure) == ("x", 5, 10, False, (3, 1))
-        assert r == ("x", 5, 10, False, (3, 1))
-        assert r._replace(passed=True, first_failure=None) == ("x", 5, 10, True, None)
+        r = CongruenceCheck("x", 5, 10, (3, 1))
+        name, modulus, order, first_failure = r
+        assert (name, modulus, order, first_failure) == ("x", 5, 10, (3, 1))
+        assert r == ("x", 5, 10, (3, 1))
+        assert r._replace(first_failure=None) == ("x", 5, 10, None)
         with pytest.raises(AttributeError):
             r.passed = True
 
     @pytest.mark.parametrize("record", [
-        CongruenceCheck("x", 5, 10, False, (3, Fraction(1, 2))),
-        CongruenceCheck("y", None, 7, True),
+        CongruenceCheck("x", 5, 10, (3, Fraction(1, 2))),
+        CongruenceCheck("y", None, 7),
     ], ids=["failed", "passed"])
     def test_pickle_round_trip(self, record):
         copy = pickle.loads(pickle.dumps(record))
@@ -404,15 +420,17 @@ class TestRunAll:
     @pytest.mark.parametrize("name, built, sweep", [
         ("mod10", bps.brace_series, lambda: run_all(order=50, names=["mod10"])),
         ("mod10", bps.brace_series, lambda: check("mod10", 50)),
+        # Perturbed at index order, which a short sweep does not store.
+        ("mod10", bps.brace_series, lambda: check("mod10", 50, (50, 1))),
         ("support_lemma", p_alpha, lambda: check("support_lemma", 50)),
         ("parity_factor", partition_series, lambda: check("parity_factor", 50)),
         ("mod5_reduction", p_alpha, lambda: check("mod5_reduction", 50)),
         ("support_consequence", p_alpha, lambda: check("support_consequence", 50)),
         ("mod2_reduction", p_alpha, lambda: check("mod2_reduction", 50)),
         ("g_identity", partition_series, lambda: run_all(order=50, names=["g_identity"])),
-    ], ids=["run_all", "check-mod10", "check-support_lemma", "check-parity_factor",
-            "check-mod5_reduction", "check-support_consequence", "check-mod2_reduction",
-            "g_identity"])
+    ], ids=["run_all", "check-mod10", "check-mod10-perturbed", "check-support_lemma",
+            "check-parity_factor", "check-mod5_reduction", "check-support_consequence",
+            "check-mod2_reduction", "g_identity"])
     def test_short_sweep_rejected(self, monkeypatch, name, built, sweep):
         if built is p_alpha:        # the residue rows ask for (alpha, order, modulus)
             short = lambda alpha, order, modulus=None: built(alpha, order - 1, modulus)
@@ -477,22 +495,29 @@ class TestRunAll:
                 "mod2_reduction"]
         assert all(r.passed for r in run_all(order=300, names=rows))
 
-    def test_reduction_rows_read_one_p2_operator(self, monkeypatch):
-        # mod5_reduction and support_consequence share (D^2 - D) P_2 mod 10, so
-        # q d/dq is applied to P_2 mod 10 once, not once per row.
+    def test_congruence_rows_add_no_catalog_key_of_their_own(self, monkeypatch):
+        # Every catalog entry the six rows read is stored by qforms or bps.
+        writers = []
+        derived = qforms.QFormCatalog.derived
+
+        def recorded(catalog, key, build):
+            writers.append(build.__module__)
+            return derived(catalog, key, build)
+
         catalog_for.cache_clear()
-        p2 = p_alpha(2, 60, 10)
-        derived = []
-        q_derivative = ResidueSeries.q_derivative
+        monkeypatch.setattr(qforms.QFormCatalog, "derived", recorded)
+        rows = ["mod10", "mod5_reduction", "support_lemma", "support_consequence",
+                "mod2_reduction", "parity_factor"]
+        assert all(r.passed for r in run_all(order=60, names=rows))
+        assert writers and set(writers) <= {"qbps.qforms", "qbps.bps"}
 
-        def counted(self):
-            derived.append(self is p2)
-            return q_derivative(self)
-
-        monkeypatch.setattr(ResidueSeries, "q_derivative", counted)
-        assert all(r.passed for r in run_all(order=60, names=["mod5_reduction",
-                                                              "support_consequence"]))
-        assert derived.count(True) == 1
+    def test_catalog_keeps_the_two_latest_orders(self):
+        catalog_for.cache_clear()
+        first = run_all(order=30)
+        run_all(order=40)
+        run_all(order=50)
+        assert catalog_for.cache_info().currsize == 2
+        assert run_all(order=30) == first
 
     def test_support_lemma_builds_no_exact_inverse(self, monkeypatch):
         def refused(self):
