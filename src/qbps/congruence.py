@@ -8,21 +8,20 @@ it is P_{-1} (D^2 + D) P, whose k-th coefficient k(k+1)p(k) is even.  The exact
 rows replay what the proof leans on: route equalities for a and b, their
 integrality, and the logarithmic-derivative identities behind the closed forms.
 
-The five residue rows compute in Z/10 = Z/2 x Z/5 and reduce to the row's
-modulus, 5 or 2, only at the end.  They read brace_series(order, 10) and
-p_alpha(alpha, order, 10), which build no exact series; QFormCatalog.power gives
-the recipe, and says why P mod 5 is never built from Frobenius.  None of the six
-congruence rows makes an exact product, and parity_factor alone keeps exact P,
-since it pins the exact value k(k+1)p(k).
+The six residue rows are built in Z/10 = Z/2 x Z/5, and check alone reduces
+each to its modulus, 10, 5 or 2.  They read brace_series(order, 10) and
+p_alpha(alpha, order, 10), which build no exact series; QFormCatalog.power
+gives the recipe, and says why P mod 5 is never built from Frobenius.
 
-All 13 checks are rows of one table, name -> (modulus, build), in this order:
+All 13 checks are rows of one table, name -> (modulus, failure rule, build), in
+this order; build(order) returns the series to scan:
 
   mod10                10     7G^2 - G + DG vanishes identically mod 10
   mod5_reduction       5      mod 5 the brace equals 3 P_{-2} (D^2 - D) P_2
   support_lemma        5      P_2 mod 5 vanishes at the indices 2, 3 and 4 mod 5
   support_consequence  5      (D^2 - D) P_2 vanishes mod 5: on the support, k^2 = k
   mod2_reduction       2      mod 2 the brace equals P_{-1} (D^2 + D) P
-  parity_factor        2      coefficient k of (D^2 + D) P is exactly k(k+1)p(k), even as k(k+1) is
+  parity_factor        2      (D^2 + D) P vanishes mod 2: k(k+1) is even
   a_routes             exact  the direct a(beta_n) equal A = -P^12 G
   b_routes             exact  the direct b(beta_n) equal B = (1/10) P^12 (7G^2 - G + DG)
   b_intermediate       exact  the half-simplified b, which pins the reindexing, equals B
@@ -34,17 +33,16 @@ All 13 checks are rows of one table, name -> (modulus, build), in this order:
 Some rows catch less than they state:
 
   * support_lemma is one-directional: residues at indices 0 or 1 mod 5 are free.
-  * mod2_reduction: the right side is 0 mod 2 for every integer series P, as
-    k(k+1)p(k) is even, so the row scans the brace mod 2 and no fault in P shows.
-  * parity_factor compares P with itself, and k(k+1) is even, so no fault in P
-    can make it fail; only a fault in qd can.
+  * mod2_reduction and parity_factor: (D^2 + D) P is 0 mod 2 for every integer
+    series P, as k(k+1)p(k) is even, so mod2_reduction scans the brace mod 2,
+    and no fault in P shows in either row; only a fault in residue q d/dq can
+    fail them.
   * a_integrality: A is a product of two integer series, integral by
     construction, so no fault in P or G can make it fail.
   * p12_identity: on this surface a_direct_n = -(n/12) N0_n with N0 = P^12, so
     D(P^12) = -12 a_direct: the row scans exactly -12 times the series a_routes
     scans, and passes exactly when a_routes does.
 
-Each row's build(order) returns the series to scan and its failure rule;
 check scans one row and run_all runs a selection.
 """
 
@@ -113,54 +111,41 @@ def _p2_operator(order: int):
     return qd(dp2) - dp2
 
 
-def _mod5_reduction(order: int):
-    # The left side comes from G, the right side from P and P^-2 alone.
-    rhs = 3 * (p_alpha(-2, order, 10) * _p2_operator(order))
-    return (brace_series(order, 10) - rhs).reduce_mod(5), _nonzero
-
-
-def _mod2_reduction(order: int):
+def _p_operator(order: int):
+    """(D^2 + D) P mod 10, which mod2_reduction and parity_factor both read."""
     dp = qd(p_alpha(1, order, 10))
-    rhs = p_alpha(-1, order, 10) * (qd(dp) + dp)
-    return (brace_series(order, 10) - rhs).reduce_mod(2), _nonzero
-
-
-def _parity_factor(order: int):
-    # (D^2 + D) P as D(DP + P), so at most three exact series are alive at once;
-    # the expected k(k+1)p(k) is built lazily, so no fourth is held.
-    p = partition_series(order)
-    return qd(qd(p) + p), lambda cs: map(
-        ne, cs, map(mul, map(mul, count(), count(1)), p.coefficients))
-
-
-def _g_identity(order: int):
-    return g_series(order) - p_alpha(-1, order) * qd(partition_series(order)), _nonzero
+    return qd(dp) + dp
 
 
 def _p12_identity(order: int):
     # D(P^12) - 12 P^12 G, with the product P^12 G read from A = -P^12 G.  P^12 is
     # never built from this recurrence (QFormCatalog.power builds it), and
     # a_routes checks A against the direct route.
-    return qd(p_alpha(12, order)) + 12 * a_closed_series(order), _nonzero
+    return qd(p_alpha(12, order)) + 12 * a_closed_series(order)
 
 
 # The module docstring's table, run in this order.  A row with a modulus is a
-# congruence check.
+# congruence check.  Each build looks up the q-forms and routes it reads in this
+# module's globals when called, so rebinding one of them reaches every row.
 _CHECKS = {
-    "mod10": (10, lambda order: (brace_series(order, 10), _nonzero)),
-    "mod5_reduction": (5, _mod5_reduction),
-    "support_lemma": (5, lambda order: (p_alpha(2, order, 10).reduce_mod(5), _off_support)),
-    "support_consequence": (5, lambda order: (_p2_operator(order).reduce_mod(5), _nonzero)),
-    "mod2_reduction": (2, _mod2_reduction),
-    "parity_factor": (2, _parity_factor),
-    "a_routes": (None, lambda order: (a_direct_series(order) - a_closed_series(order), _nonzero)),
-    "b_routes": (None, lambda order: (b_direct_series(order) - b_closed_series(order), _nonzero)),
-    "b_intermediate": (None, lambda order: (
-        b_intermediate_series(order) - b_closed_series(order), _nonzero)),
-    "a_integrality": (None, lambda order: (a_closed_series(order), _fractional)),
-    "b_integrality": (None, lambda order: (b_closed_series(order), _fractional)),
-    "g_identity": (None, _g_identity),
-    "p12_identity": (None, _p12_identity),
+    "mod10": (10, _nonzero, lambda order: brace_series(order, 10)),
+    # The left side comes from G, the right side from P and P^-2 alone.
+    "mod5_reduction": (5, _nonzero, lambda order: (
+        brace_series(order, 10) - 3 * (p_alpha(-2, order, 10) * _p2_operator(order)))),
+    "support_lemma": (5, _off_support, lambda order: p_alpha(2, order, 10)),
+    "support_consequence": (5, _nonzero, _p2_operator),
+    "mod2_reduction": (2, _nonzero, lambda order: (
+        brace_series(order, 10) - p_alpha(-1, order, 10) * _p_operator(order))),
+    "parity_factor": (2, _nonzero, _p_operator),
+    "a_routes": (None, _nonzero, lambda order: a_direct_series(order) - a_closed_series(order)),
+    "b_routes": (None, _nonzero, lambda order: b_direct_series(order) - b_closed_series(order)),
+    "b_intermediate": (None, _nonzero, lambda order: (
+        b_intermediate_series(order) - b_closed_series(order))),
+    "a_integrality": (None, _fractional, lambda order: a_closed_series(order)),
+    "b_integrality": (None, _fractional, lambda order: b_closed_series(order)),
+    "g_identity": (None, _nonzero, lambda order: (
+        g_series(order) - p_alpha(-1, order) * qd(partition_series(order)))),
+    "p12_identity": (None, _nonzero, _p12_identity),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
@@ -186,7 +171,7 @@ def _selected_names(names) -> set[str]:
 def _perturbable(perturbations: dict, depths: dict) -> None:
     """Refuse a perturbation of anything but a congruence check, not a pair of ints,
     or at an index outside 0..depths[name], its row's order."""
-    refused = sorted(map(str, set(perturbations) - {n for n, (m, _) in _CHECKS.items() if m}))
+    refused = sorted(map(str, set(perturbations) - {n for n, (m, *_) in _CHECKS.items() if m}))
     if refused:
         raise ValueError(
             f"perturbation only applies to congruence checks, not: {', '.join(refused)}")
@@ -202,7 +187,9 @@ def _perturbable(perturbations: dict, depths: dict) -> None:
 
 
 def check(name: str, order: int, perturbation: Perturbation | None = None) -> CongruenceCheck:
-    """Run one check by name: build its series, perturb it, scan it to order.
+    """Run one check by name, in five steps: build its series, check that the
+    series reaches order, reduce it to the row's modulus if it has one, perturb
+    it, and scan it to order.
 
     The scan reports the first index the row's failure rule flags, with that
     coefficient; a perturbation lets tests confirm that a failure is reported at
@@ -215,10 +202,12 @@ def check(name: str, order: int, perturbation: Perturbation | None = None) -> Co
     _selected_names([name])
     if perturbation is not None:
         _perturbable({name: perturbation}, {name: order})
-    modulus, build = _CHECKS[name]
-    series, rule = build(order)
+    modulus, rule, build = _CHECKS[name]
+    series = build(order)
     if series.order != order:
         raise RuntimeError(f"check {name} swept order {series.order}, not the requested {order}")
+    if modulus:
+        series = series.reduce_mod(modulus)
     if perturbation is not None:
         index, delta = perturbation
         series = series.with_coefficient(index, series[index] + delta)

@@ -231,6 +231,14 @@ class TestFailureReporting:
             ("mod5_reduction", 5, 88, 2),
             ("support_consequence", 5, 61, 4),
             ("mod2_reduction", 2, 45, 1),
+            # A delta of modulus + 1 shows as 1 once check reduces the row; 67 is
+            # 2 mod 5, an index the support lemma scans.
+            ("mod10", 10, 29, 11),
+            ("mod5_reduction", 5, 29, 6),
+            ("support_lemma", 5, 67, 6),
+            ("support_consequence", 5, 29, 6),
+            ("mod2_reduction", 2, 29, 3),
+            ("parity_factor", 2, 29, 3),
         ]
         for name, modulus, index, delta in cases:
             result = check(name, 100, perturbation=(index, delta))
@@ -247,14 +255,12 @@ class TestFailureReporting:
         for index in (95, 96):  # 0 and 1 mod 5
             assert check("support_lemma", 100, perturbation=(index, 2)).passed
 
-    def test_parity_factor_reports_exact_offender(self):
-        # The even delta keeps the coefficient even: only the exact value shows it.
-        p = partition_series(40)
-        expected = 33 * 34 * p.coefficient(33)
-        for delta in (5, 2):
-            result = check("parity_factor", 40, perturbation=(33, delta))
-            assert not result.passed
-            assert result.first_failure == (33, expected + delta)
+    def test_parity_factor_reports_odd_delta_as_residue_one(self):
+        # The row scans mod 2: an odd delta shows as 1, and an even one vanishes,
+        # as a delta at a permitted index does for support_lemma.
+        result = check("parity_factor", 40, perturbation=(33, 5))
+        assert result.first_failure == (33, 1)
+        assert check("parity_factor", 40, perturbation=(33, 2)).passed
 
     def test_exact_rows_report_the_fractional_coefficient(self, monkeypatch):
         # A closed form off by 1/2 at q^3 is fractional there, and so is its
@@ -423,7 +429,7 @@ class TestRunAll:
         # Perturbed at index order, which a short sweep does not store.
         ("mod10", bps.brace_series, lambda: check("mod10", 50, (50, 1))),
         ("support_lemma", p_alpha, lambda: check("support_lemma", 50)),
-        ("parity_factor", partition_series, lambda: check("parity_factor", 50)),
+        ("parity_factor", p_alpha, lambda: check("parity_factor", 50)),
         ("mod5_reduction", p_alpha, lambda: check("mod5_reduction", 50)),
         ("support_consequence", p_alpha, lambda: check("support_consequence", 50)),
         ("mod2_reduction", p_alpha, lambda: check("mod2_reduction", 50)),
@@ -451,8 +457,8 @@ class TestRunAll:
         assert len(products) == 10
 
     def test_congruence_rows_take_no_exact_product(self, products):
-        # The brace rows read the brace built in Z/10, every residue power is
-        # built in Z/m, and parity_factor's P is an inverse.
+        # The brace rows read the brace built in Z/10, and every residue power,
+        # P mod 10 for parity_factor too, is built in Z/10.
         catalog_for.cache_clear()
         rows = ["mod10", "mod5_reduction", "support_lemma", "support_consequence",
                 "mod2_reduction", "parity_factor"]
@@ -479,7 +485,7 @@ class TestRunAll:
         catalog_for.cache_clear()
         monkeypatch.setattr(ResidueSeries, "inverse", counted)
         rows = ["mod10", "mod5_reduction", "support_lemma", "support_consequence",
-                "mod2_reduction"]
+                "mod2_reduction", "parity_factor"]
         assert all(r.passed for r in run_all(order=300, names=rows))
         assert inverses == [10]
 
@@ -492,7 +498,7 @@ class TestRunAll:
         catalog_for.cache_clear()
         monkeypatch.setattr(TruncatedSeries, "__init__", refused)
         rows = ["mod10", "mod5_reduction", "support_lemma", "support_consequence",
-                "mod2_reduction"]
+                "mod2_reduction", "parity_factor"]
         assert all(r.passed for r in run_all(order=300, names=rows))
 
     def test_congruence_rows_add_no_catalog_key_of_their_own(self, monkeypatch):
@@ -550,15 +556,16 @@ class TestRunAll:
         (ResidueSeries, "_product",
          _output(lambda c: c[:11] + bytes([c[11] + 1]) + c[12:] if len(c) > 11 else c),
          {"mod10", "mod5_reduction", "support_lemma", "support_consequence"}),
-        # A fault in q d/dq, the only kind parity_factor can catch.  D reaches the
-        # exact rows through DP, DG and D(P^12), and the residue rows through DG
-        # in the brace and (D^2 - D) P_2.
+        # D reaches the exact rows through DP, DG and D(P^12).
         (TruncatedSeries, "_weighted", _output(lambda c: [x + (k == 7) for k, x in enumerate(c)]),
-         {"b_integrality", "b_intermediate", "b_routes", "g_identity", "p12_identity",
-          "parity_factor"}),
+         {"b_integrality", "b_intermediate", "b_routes", "g_identity", "p12_identity"}),
+        # A fault in residue q d/dq, the only kind parity_factor can catch.  D
+        # reaches the residue rows through DG in the brace, (D^2 - D) P_2 and
+        # (D^2 + D) P.
         (ResidueSeries, "_weighted", lambda weighted: lambda self, a: bytes(
             (x + (k == 7)) % self.modulus for k, x in enumerate(weighted(self, a))),
-         {"mod10", "mod2_reduction", "mod5_reduction", "support_consequence"}),
+         {"mod10", "mod2_reduction", "mod5_reduction", "support_consequence",
+          "parity_factor"}),
         # The trial-division sigma that n1_fiber reads, not the sieve behind G.
         (gw, "sigma", lambda sigma: lambda k: sigma(k) + (k == 7), {"b_routes"}),
         (gw.SurfaceContext, "genus",
