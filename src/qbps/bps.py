@@ -120,9 +120,12 @@ def _class_data(n: int, n0: TruncatedSeries, n1: TruncatedSeries | None = None) 
 
 
 def a_direct_series(order: int) -> TruncatedSeries:
-    """Coefficient n is a_general of beta_n, straight from the genus-0 count table."""
-    n0 = n0_series(order)
-    return TruncatedSeries([a_general(_class_data(n, n0)) for n in range(order + 1)])
+    """Coefficient n is a_general of beta_n, straight from the genus-0 count table;
+    built once per order, as a_routes and a_integrality both scan it."""
+    def build():
+        n0 = n0_series(order)
+        return TruncatedSeries([a_general(_class_data(n, n0)) for n in range(order + 1)])
+    return catalog_for(order).derived("a_direct", build)
 
 
 def b_direct_series(order: int) -> TruncatedSeries:

@@ -6,9 +6,9 @@ integers without a denominator; nothing is ever rounded.
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
+from itertools import chain
 
 import click
 
@@ -92,11 +92,10 @@ def table(kind, terms, fmt):
         a, b = a_closed_series(terms), b_closed_series(terms)
         header = ["n", "a", "b"]
         rows = zip(range(terms + 1), a.coefficients, b.coefficients)
-    # rows is lazy, so csv output streams, and csv stringifies each value itself.
+    # rows is lazy, so csv output streams one line per row.  No cell needs
+    # quoting: each is an int, a p/q or the one empty N1_fiber cell.
     if fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        sys.stdout.writelines(",".join(map(str, row)) + "\n" for row in chain([header], rows))
     else:
         click.echo(json.dumps([dict(zip(header, map(str, row))) for row in rows], indent=2))
 

@@ -21,13 +21,9 @@ Python object.
 Each coefficient domain has its own inverter, the faster one in that domain.
 Exact series use forward substitution, g_k = -(f_1 g_(k-1) + ... +
 f_k g_0) / f_0, over the nonzero f_i only.  Each term is scaled by -1/f_0 once,
-to c_i = -f_i / f_0, and g_k = sum_i c_i g_(k-i) is three sums, each over history
-fetched by one itemgetter: that of the terms with c_i = 1, less that of the
-terms with c_i = -1, plus one dot product of every other c_i with its history.
-The catalog inverts two lacunary series: Euler's P^-1, whose terms are all +-1,
-and (P^-1)^3, whose terms +-(2k+1) are all distinct, so that grouping them by
-value would still cost a sum and a multiply per term.
-Newton's iteration over exact coefficients measured four to five times slower
+to c_i = -f_i / f_0, and g_k is one dot product of the c_i with the history that
+one itemgetter fetches.
+Newton's iteration over exact coefficients measured two to three times slower
 on Euler's P^-1, so exact series keep the substitution.  Residue series use
 Newton's iteration, g <- g - g (f g - 1), which doubles the known prefix with
 two products through the kernel: O(N log N) work for N coefficients, where
@@ -354,36 +350,26 @@ class TruncatedSeries(_Series):
 
     def inverse(self) -> TruncatedSeries:
         """Multiplicative inverse up to the truncation order, by forward substitution
-        over the nonzero terms: those of scaled value +-1 summed, the rest in one dot
-        product (see the module docstring); ZeroDivisionError if the constant term is 0."""
+        over the nonzero terms, one dot product per coefficient (see the module
+        docstring); ZeroDivisionError if the constant term is 0."""
         f = self._coeffs
         if f[0] == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
         inv0 = _normalize(Fraction(1) / f[0])
-        # Offsets -i of the terms that have entered, split by c = -f_i / f_0 into
-        # c = 1, c = -1 and the rest, whose values c are kept in step with their
-        # offsets; each getter is rebuilt only when its list gains a term.
-        ones, minus_ones, others, values = [0], [0], [0], [0]
-        # g[0] is a zero every getter also reads, twice before any term enters, so a
-        # getter always returns a tuple; g[k] holds g_(k-1), so g_(k-i) is g[-i]
-        # while g_k is appended.
-        get_ones = get_minus_ones = get_others = itemgetter(0, 0)
+        # Offsets -i of the terms that have entered and their values c = -f_i / f_0,
+        # in step; the getter is rebuilt only when a term enters.
+        offsets, values = [0], [0]
+        # g[0] is a zero the getter also reads, twice before any term enters, so it
+        # always returns a tuple; g[k] holds g_(k-1), so g_(k-i) is g[-i] while g_k
+        # is appended.
+        get = itemgetter(0, 0)
         g = [0, inv0]
         for k in range(1, len(f)):
             if f[k]:
-                c = -inv0 * f[k]
-                if c == 1:
-                    ones.append(-k)
-                    get_ones = itemgetter(*ones)
-                elif c == -1:
-                    minus_ones.append(-k)
-                    get_minus_ones = itemgetter(*minus_ones)
-                else:
-                    others.append(-k)
-                    values.append(c)
-                    get_others = itemgetter(*others)
-            g.append(sum(get_ones(g)) - sum(get_minus_ones(g))
-                     + sum(map(mul, values, get_others(g))))
+                offsets.append(-k)
+                values.append(-inv0 * f[k])
+                get = itemgetter(*offsets)
+            g.append(sum(map(mul, values, get(g))))
         return self._new(g[1:])
 
     def reduce_mod(self, modulus: int) -> ResidueSeries:

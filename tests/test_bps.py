@@ -149,9 +149,11 @@ class TestSeriesRoutes:
         assert b_direct == b_intermediate_series(order).coefficients
 
     def test_a_direct_reads_no_genus_one_counts(self, monkeypatch):
-        # a(beta) needs N0 only, so the direct route builds no N1 = P^12 * DG.
+        # a(beta) needs N0 only, so the direct route builds no N1 = P^12 * DG.  The
+        # catalog is cleared first, so the route is built here, not read from it.
         def refuse(order):
             raise AssertionError("a_direct_series built n1_series")
+        catalog_for.cache_clear()
         monkeypatch.setattr("qbps.bps.n1_series", refuse)
         assert a_direct_series(8).coefficients == A_HEAD
 

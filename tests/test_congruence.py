@@ -263,22 +263,33 @@ class TestFailureReporting:
         assert check("parity_factor", 40, perturbation=(33, 2)).passed
 
     def test_exact_rows_report_the_fractional_coefficient(self, monkeypatch):
-        # A closed form off by 1/2 at q^3 is fractional there, and so is its
-        # difference from the direct route.
+        # The direct a and the closed b, the series the integrality rows scan, off
+        # by 1/2 at q^3 are fractional there, and so are their route differences.
         order = 30
 
-        def off_by_half(closed):
-            return lambda n: closed(n).with_coefficient(3, closed(n)[3] + Fraction(1, 2))
+        def off_by_half(route):
+            return lambda n: route(n).with_coefficient(3, route(n)[3] + Fraction(1, 2))
 
-        monkeypatch.setattr("qbps.congruence.a_closed_series", off_by_half(bps.a_closed_series))
+        monkeypatch.setattr("qbps.congruence.a_direct_series", off_by_half(bps.a_direct_series))
         monkeypatch.setattr("qbps.congruence.b_closed_series", off_by_half(bps.b_closed_series))
-        a3 = bps.a_closed_series(order)[3] + Fraction(1, 2)
+        a3 = bps.a_direct_series(order)[3] + Fraction(1, 2)
         b3 = bps.b_closed_series(order)[3] + Fraction(1, 2)
         results = run_all(order=order, names=["a_routes", "b_routes",
                                               "a_integrality", "b_integrality"])
         assert {r.name: r.first_failure for r in results} == {
-            "a_routes": (3, Fraction(-1, 2)), "b_routes": (3, Fraction(-1, 2)),
+            "a_routes": (3, Fraction(1, 2)), "b_routes": (3, Fraction(-1, 2)),
             "a_integrality": (3, a3), "b_integrality": (3, b3)}
+
+    def test_a_integrality_scans_the_direct_route(self, monkeypatch):
+        # The 1/12 sits in the direct route: a(beta_1) = -(1/12) N0_1, and an N0_1
+        # of 13 leaves it fractional, where A = -P^12 G is integral by construction.
+        catalog_for.cache_clear()
+        monkeypatch.setattr("qbps.bps.n0_series",
+                            lambda order: gw.n0_series(order).with_coefficient(1, 13))
+        try:
+            assert check("a_integrality", 30).first_failure == (1, Fraction(-13, 12))
+        finally:
+            catalog_for.cache_clear()
 
     @pytest.mark.parametrize("perturbation", [(1,), (1, 1, 1), 5, ("1", 1), (True, 1),
                                               (1, True), (1, 1.5)],
@@ -546,8 +557,8 @@ class TestRunAll:
           "b_intermediate", "b_integrality", "g_identity", "p12_identity"}),
         # The brace rows read the brace built in Z/10, so no exact product reaches them.
         (TruncatedSeries, "_product", _output(lambda c: c[:11] + [c[11] + 1] + c[12:]),
-         {"a_routes", "b_routes", "b_intermediate", "b_integrality", "g_identity",
-          "p12_identity"}),
+         {"a_routes", "b_routes", "b_intermediate", "a_integrality", "b_integrality",
+          "g_identity", "p12_identity"}),
         # Only products of at least 12 coefficients: Newton's first products are
         # shorter.  The residue inverse is built from residue products, so P mod 10
         # and the support rows that read it fail too.  mod2_reduction passes: the +1

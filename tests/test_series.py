@@ -263,7 +263,8 @@ class TestInverse:
         assert inv.coefficients == (Fraction(1, 2), 0, 0, Fraction(1, 4), 0, 0, Fraction(1, 8))
         assert [type(c) for c in inv.coefficients] == [Fraction, int, int] * 2 + [Fraction]
 
-    # c = -f_i / f_0 of each term: only +-1 (Euler's P^-1); none +-1 ((P^-1)^3, whose
+    # The one dot product per coefficient against the dense oracle, for each kind of
+    # scaled value c = -f_i / f_0: only +-1 (Euler's P^-1); none +-1 ((P^-1)^3, whose
     # terms are (-1)^k (2k+1) by Jacobi's identity); both; under a lead of -1; and under
     # a Fraction lead, where c is Fraction(1), Fraction(-1), an integral Fraction
     # (Fraction(-3)), a proper Fraction or an int.
