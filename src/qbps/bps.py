@@ -4,8 +4,7 @@ Two routes to the same numbers, kept deliberately separate so their agreement
 is a real check and not a tautology:
 
   * the direct route, the general formulas evaluated for each class beta_n
-    (a_direct_series, b_direct_series), with a_general and b_general over
-    decompositions_for's explicit per-pair tuples as the reference;
+    (a_general; a_direct_series and b_direct_series for every n);
   * the closed forms in the partition and divisor-sum series (a_closed_series,
     b_closed_series, and the brace 7G^2 - G + DG of brace_series);
 
@@ -29,8 +28,7 @@ from .qforms import catalog_for, g_series, p_alpha
 from .gw import NINE_POINT_BLOWUP, n0_series, n1_series, n1_fiber
 
 __all__ = [
-    "ClassData", "a_general", "b_general", "decompositions_for",
-    "a_direct_series", "b_direct_series",
+    "ClassData", "a_general", "a_direct_series", "b_direct_series",
     "a_closed_series", "b_closed_series", "b_intermediate_series",
     "brace_series",
 ]
@@ -76,39 +74,6 @@ def _b_value(data: ClassData, chi: int, tail):
     g, c = data.g, data.c
     numerator = (12 * g * g + g * c - 24 * g) * data.n0 + 12 * chi * data.n1 + 12 * tail
     return _normalize(Fraction(numerator, 2880))
-
-
-def b_general(data: ClassData, chi: int, terms):
-    """b(beta) from its three-part formula over explicit decomposition terms.
-
-    (1/2880)(12g^2 + gc - 24g) N0  +  (1/240) chi N1
-      + (1/240) sum C(c-1, c') (beta'.beta'') (beta''.beta'') N1(beta') N0(beta'')
-
-    Each term is a tuple (c', beta'.beta'', beta''.beta'', N1(beta'), N0(beta'')), and
-    each is multiplied out in full: this is the explicit per-pair reference.
-    """
-    tail = sum(_binomial(data.c - 1, c_prime) * dot_prime_dprime * dot_dprime_dprime
-               * n1_prime * n0_dprime
-               for c_prime, dot_prime_dprime, dot_dprime_dprime, n1_prime, n0_dprime in terms)
-    return _b_value(data, chi, tail)
-
-
-def decompositions_for(n: int, n0: TruncatedSeries) -> list[tuple]:
-    """All splittings of beta_n with a genus-1 part: beta' = (n-k)F, beta'' = beta_k.
-
-    One tuple (c', beta'.beta'', beta''.beta'', N1(beta'), N0(beta'')) per k = 0..n-1,
-    from NINE_POINT_BLOWUP: on the nine-point blow-up c' = 0, beta'.beta'' = n-k and
-    beta''.beta'' = 2k-1.  The n0 series must extend at least to order n-1.
-    """
-    if n < 0:
-        raise ValueError("class index must be non-negative")
-    surface = NINE_POINT_BLOWUP
-    terms = []
-    for k in range(n):
-        fiber, beta = surface.fiber(n - k), surface.beta(k)
-        terms.append((surface.degree(fiber), surface.intersect(fiber, beta),
-                      surface.intersect(beta, beta), n1_fiber(n - k), n0.coefficient(k)))
-    return terms
 
 
 def _class_data(n: int, n0: TruncatedSeries, n1: TruncatedSeries | None = None) -> ClassData:

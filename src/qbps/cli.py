@@ -34,7 +34,18 @@ _terms_option = click.option(
     show_default=True, help="Truncation order: coefficients of q^0 through q^terms.")
 
 
-@click.group()
+class _Commands(click.Group):
+    """Every command sizes its series from --terms, so running out of memory, even
+    below sys.maxsize, is a usage error (exit 2), never a failed check (exit 1)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MemoryError:
+            raise click.UsageError("--terms is too large to build in memory") from None
+
+
+@click.group(cls=_Commands)
 def main():
     """Exact q-series engine for BPS-style curve-count invariants.
 

@@ -221,8 +221,9 @@ def run_all(order: int | None = None, support_order: int | None = None,
     With no explicit order, every row but the support lemma runs at
     DEFAULT_COMPOSITE_ORDER and the lemma at DEFAULT_SUPPORT_ORDER; with an
     explicit order, every row runs there unless support_order sets the lemma's.
-    perturbations maps a congruence check's name to its (index, delta) pair; all
-    of them are validated before any row is built.
+    perturbations maps a selected congruence check's name to its (index, delta)
+    pair; all of them are validated before any row is built, and one of a check
+    not selected raises ValueError rather than being dropped.
     """
     if order is None:
         order = DEFAULT_COMPOSITE_ORDER
@@ -238,5 +239,8 @@ def run_all(order: int | None = None, support_order: int | None = None,
         raise TypeError("perturbations must map check names to (index, delta) pairs, "
                         f"got {perturbations!r}") from None
     _perturbable(perturbations, depths)
+    unselected = sorted(set(perturbations) - selected)
+    if unselected:
+        raise ValueError(f"perturbation of a check that is not selected: {', '.join(unselected)}")
     return [check(name, depths[name], perturbations.get(name))
             for name in CHECK_NAMES if name in selected]

@@ -70,10 +70,10 @@ class SurfaceContext(namedtuple(
 NINE_POINT_BLOWUP = SurfaceContext()
 
 
-class GWTable(namedtuple("GWTable", "n0 n1 order")):
+class GWTable(namedtuple("GWTable", "n0 n1")):
     """Coefficient n of n0 counts genus-0 curves in beta_n; n1 counts genus-1.
 
-    n0 and n1 are TruncatedSeries to the int order.
+    n0 and n1 are TruncatedSeries to one order, which each carries as .order.
     """
 
     __slots__ = ()
@@ -110,4 +110,4 @@ def gw_table(order: int) -> GWTable:
                 raise ValueError(f"{name} coefficient at q^{k} is not a non-negative integer: {c}")
     if n1.coefficient(0) != 0:
         raise ValueError("genus-1 series must vanish at n = 0")
-    return GWTable(n0=n0, n1=n1, order=order)
+    return GWTable(n0=n0, n1=n1)

@@ -286,10 +286,6 @@ class _Series:
                 result = result * self
         return result
 
-    def q_derivative(self):
-        """Apply q*d/dq: the coefficient of q^k is scaled by k.  Same order."""
-        return self._new(self._weighted(self._coeffs))
-
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
@@ -395,8 +391,8 @@ class TruncatedSeries(_Series):
 
 
 def qd(series):
-    """Operator form of q*d/dq, for either coefficient domain."""
-    return series.q_derivative()
+    """Apply q*d/dq in either coefficient domain: coefficient k is scaled by k."""
+    return series._new(series._weighted(series._coeffs))
 
 
 class ResidueSeries(_Series):

@@ -2,13 +2,20 @@
 
 The library builds its series by product/recurrence tricks; these helpers
 count and enumerate directly, so agreement between the two is evidence rather
-than tautology.
+than tautology.  b_general multiplies the splitting sum of b out one pair at a
+time, where bps.b_direct_series factors it by bilinearity; the two share only
+the final combination, bps._b_value.
 """
 
 from fractions import Fraction
 from functools import cache
 
 import pytest
+
+from qbps import bps
+from qbps.bps import ClassData, _b_value, _binomial
+from qbps.gw import n1_fiber
+from qbps.series import TruncatedSeries
 
 
 @cache
@@ -85,6 +92,40 @@ def pentagonal(n: int) -> list[int]:
     return coeffs
 
 
+def b_general(data: ClassData, chi: int, terms):
+    """b(beta) from its three-part formula over explicit decomposition terms.
+
+    (1/2880)(12g^2 + gc - 24g) N0  +  (1/240) chi N1
+      + (1/240) sum C(c-1, c') (beta'.beta'') (beta''.beta'') N1(beta') N0(beta'')
+
+    Each term is a tuple (c', beta'.beta'', beta''.beta'', N1(beta'), N0(beta'')), and
+    each is multiplied out in full: this is the explicit per-pair reference.
+    """
+    tail = sum(_binomial(data.c - 1, c_prime) * dot_prime_dprime * dot_dprime_dprime
+               * n1_prime * n0_dprime
+               for c_prime, dot_prime_dprime, dot_dprime_dprime, n1_prime, n0_dprime in terms)
+    return _b_value(data, chi, tail)
+
+
+def decompositions_for(n: int, n0: TruncatedSeries) -> list[tuple]:
+    """All splittings of beta_n with a genus-1 part: beta' = (n-k)F, beta'' = beta_k.
+
+    One tuple (c', beta'.beta'', beta''.beta'', N1(beta'), N0(beta'')) per k = 0..n-1,
+    from NINE_POINT_BLOWUP: on the nine-point blow-up c' = 0, beta'.beta'' = n-k and
+    beta''.beta'' = 2k-1.  The n0 series must extend at least to order n-1.
+    """
+    if n < 0:
+        raise ValueError("class index must be non-negative")
+    # Read at call time, so a test that patches the geometry sees it change.
+    surface = bps.NINE_POINT_BLOWUP
+    terms = []
+    for k in range(n):
+        fiber, beta = surface.fiber(n - k), surface.beta(k)
+        terms.append((surface.degree(fiber), surface.intersect(fiber, beta),
+                      surface.intersect(beta, beta), n1_fiber(n - k), n0.coefficient(k)))
+    return terms
+
+
 @pytest.fixture
 def oracle():
     class Oracle:
@@ -94,6 +135,8 @@ def oracle():
         invert = staticmethod(invert)
         invert_mod = staticmethod(invert_mod)
         pentagonal = staticmethod(pentagonal)
+        b_general = staticmethod(b_general)
+        decompositions_for = staticmethod(decompositions_for)
 
     return Oracle
 
@@ -101,8 +144,6 @@ def oracle():
 @pytest.fixture
 def products(monkeypatch):
     """The operand length of every exact series product made while the test runs."""
-    from qbps.series import TruncatedSeries
-
     lengths = []
     product = TruncatedSeries._product
 

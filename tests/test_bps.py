@@ -6,12 +6,13 @@ from functools import partial
 
 import pytest
 
+from conftest import b_general, decompositions_for
 from qbps.series import ResidueSeries, TruncatedSeries, qd
 from qbps.qforms import catalog_for
 from qbps.gw import NINE_POINT_BLOWUP, SurfaceContext, n0_series, n1_series
 from qbps.bps import (
     ClassData, _class_data,
-    a_general, b_general, decompositions_for,
+    a_general,
     a_direct_series, b_direct_series,
     a_closed_series, b_closed_series, b_intermediate_series,
     brace_series,

@@ -64,12 +64,13 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--terms", "-3"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("terms", [str(sys.maxsize), str(10 ** 20)])
+    @pytest.mark.parametrize("terms", [str(sys.maxsize), str(10 ** 20), str(sys.maxsize - 1)])
     @pytest.mark.parametrize("command", [["verify"], ["table", "--kind", "bps"],
                                          ["series", "--name", "G"]])
     def test_oversized_terms_is_usage_error(self, runner, command, terms):
         # No list can hold sys.maxsize + 1 coefficients; the option refuses the
-        # order before any series is sized from it.
+        # order before any series is sized from it.  sys.maxsize - 1 passes the
+        # option, and the first list sized from it fails at once, allocating nothing.
         result = runner.invoke(main, [*command, "--terms", terms])
         assert result.exit_code == 2, result.output
         assert "--terms" in result.output

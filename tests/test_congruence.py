@@ -342,6 +342,21 @@ class TestFailureReporting:
         with pytest.raises(IndexError, match="index -1 outside"):
             run_all(order=20, names=["g_identity"], perturbations={"parity_factor": (-1, 1)})
 
+    def test_perturbation_of_an_unselected_check_rejected_before_any_row_is_built(
+            self, monkeypatch):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a row was built")
+
+        # a_routes is built from the two a routes, mod10 from the brace.
+        for name in ("a_direct_series", "a_closed_series", "brace_series"):
+            monkeypatch.setattr(f"qbps.congruence.{name}", unbuilt)
+        with pytest.raises(ValueError, match="not selected: mod10$"):
+            run_all(order=5, names=["a_routes"], perturbations={"mod10": (1, 1)})
+        with pytest.raises(ValueError, match="not selected: mod2_reduction, mod5_reduction$"):
+            run_all(order=5, names=["a_routes", "mod10"],
+                    perturbations={"mod10": (1, 1), "mod5_reduction": (1, 1),
+                                   "mod2_reduction": (1, 1)})
+
     def test_perturbation_within_the_support_order_accepted(self):
         (result,) = run_all(order=20, support_order=40, names=["support_lemma"],
                             perturbations={"support_lemma": (33, 1)})

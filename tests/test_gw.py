@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qbps.series import qd
+from qbps.series import TruncatedSeries, qd
 from qbps.qforms import g_series
 from qbps.gw import (
     SurfaceContext, NINE_POINT_BLOWUP,
@@ -65,7 +65,20 @@ class TestTable:
         assert gw_table(5).n1.coefficient(0) == 0
 
     def test_order_recorded(self):
-        assert gw_table(7).order == 7
+        table = gw_table(7)
+        assert table.n0.order == table.n1.order == 7
+
+    @pytest.mark.parametrize("bad", [-1, Fraction(1, 2)], ids=["negative", "fractional"])
+    def test_count_that_is_not_a_nonnegative_integer_rejected(self, monkeypatch, bad):
+        monkeypatch.setattr("qbps.gw.n0_series", lambda order: TruncatedSeries([1, 12, bad]))
+        with pytest.raises(ValueError, match=r"n0 coefficient at q\^2 is not a non-negative "
+                                             r"integer: " + str(bad)):
+            gw_table(2)
+
+    def test_genus_one_constant_term_rejected(self, monkeypatch):
+        monkeypatch.setattr("qbps.gw.n1_series", lambda order: TruncatedSeries([1, 1, 18]))
+        with pytest.raises(ValueError, match="genus-1 series must vanish at n = 0"):
+            gw_table(2)
 
 
 class TestSurfaceContext:
@@ -103,6 +116,11 @@ class TestSurfaceContext:
         ctx = NINE_POINT_BLOWUP
         assert ctx.degree(ctx.fiber()) == 0
         assert ctx.genus(ctx.fiber()) == 1  # the anticanonical fiber is elliptic
+
+    def test_odd_adjunction_pairing_rejected(self):
+        # With S.S = -2, beta_2.(K + beta_2) = -2 + 3 = 1, so no integer genus.
+        with pytest.raises(ValueError, match=r"class \(1, 2\) has odd adjunction pairing 1"):
+            SurfaceContext(s_self_intersection=-2).genus((1, 2))
 
     def test_intersection_is_symmetric(self):
         ctx = SurfaceContext()
